@@ -585,45 +585,6 @@ func BenchmarkComplement(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedSkew — the DESIGN.md §9 scheduling experiment: the same
-// masked product under fixed-grain, cost-partitioned, and work-stealing
-// scheduling, on a degree-ascending R-MAT graph whose tail-adjacent
-// hub rows break a fixed 64-row grain (the heavy blocks are claimed
-// last, with nothing left to balance them against), and on a uniform
-// ER control where the strategies must tie. The acceptance target (cost-guided ≥ 1.3× over
-// fixed grain on the skewed input at ≥ 4 threads, ≤ 5% regression on
-// ER) needs real hardware parallelism; run with GOMAXPROCS ≥ 4.
-func BenchmarkSchedSkew(b *testing.B) {
-	sr := semiring.PlusTimes[float64]{}
-	workloads := []struct {
-		name string
-		g    *sparse.CSR[float64]
-	}{
-		{"rmat-hubs", bench.SkewedGraph(12, 16, 33)},
-		{"er-uniform", gen.Symmetrize(gen.ErdosRenyi(1<<12, 16, 34))},
-	}
-	for _, wl := range workloads {
-		mask := wl.g.PatternView()
-		for _, threads := range []int{2, 4, 8} {
-			for _, mode := range []core.Schedule{core.SchedFixedGrain, core.SchedCostPartition, core.SchedWorkSteal} {
-				opt := core.Options{Algorithm: core.AlgoMSA, Threads: threads, Schedule: mode, ReuseOutput: true}
-				plan, err := core.NewPlan(sr, mask, wl.g, wl.g, opt, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.Run(fmt.Sprintf("%s/threads=%d/%v", wl.name, threads, mode), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if _, err := plan.Execute(wl.g, wl.g); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
 // BenchmarkFlops — the flop counters after the per-worker partial-sum
 // rework: the serial path (small nnz) must report 0 allocs/op, and the
 // parallel path's allocations are O(threads) scheduler bookkeeping,

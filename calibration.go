@@ -26,10 +26,10 @@ const (
 	// CalibrateOnline fits at startup like CalibrateStartup, but keeps
 	// plan keys literal: instead of pre-injecting, every execution
 	// feeds measured imbalance and wall time back into the plan cache,
-	// and a plan whose imbalance EWMA stays over threshold for K
-	// consecutive hits is re-partitioned — or fully re-bound with the
-	// calibrated coefficients — in the background, swapping the cache
-	// entry atomically. Cached plans get faster the more they are hit.
+	// and a Hybrid plan whose imbalance EWMA stays over threshold for
+	// K consecutive hits has its per-row selection re-run with the
+	// calibrated coefficients in the background, swapping the cache
+	// entry atomically.
 	CalibrateOnline
 )
 

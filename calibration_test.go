@@ -123,7 +123,7 @@ func TestSessionCalibrateStartup(t *testing.T) {
 }
 
 // TestSessionOnlineReplan is the serving-level K-hit story: an online
-// session observes every execution, and a plan whose measured
+// session observes every execution, and a Hybrid plan whose measured
 // imbalance EWMA stays over threshold for K consecutive hits is
 // re-bound in the background and swapped — subsequent requests execute
 // the swapped plan and still get the exact product. The launcher is
@@ -145,7 +145,7 @@ func TestSessionOnlineReplan(t *testing.T) {
 	}
 	eq := func(x, y float64) bool { return x == y }
 	for i := 0; i < 8; i++ {
-		got, err := s.Multiply(g.PatternView(), g, g, WithThreads(4))
+		got, err := s.Multiply(g.PatternView(), g, g, WithAlgorithm(Hybrid), WithThreads(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,8 +171,8 @@ func TestSessionOnlineReplan(t *testing.T) {
 }
 
 // TestSessionOnlineRefsAtomicity hammers MultiplyRefs from many
-// goroutines while background re-binds (real goroutines, default
-// launcher) swap the hot plan underneath them: every request must see
+// goroutines while a background re-bind (real goroutine, default
+// launcher) swaps the hot Hybrid plan underneath them: every request must see
 // a consistent plan and the exact product. Run under -race in CI.
 func TestSessionOnlineRefsAtomicity(t *testing.T) {
 	s := NewSession(WithCalibration(CalibrationConfig{
@@ -197,7 +197,7 @@ func TestSessionOnlineRefsAtomicity(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				got, err := s.MultiplyRefs(ref.Pattern, ref, ref, WithThreads(4))
+				got, err := s.MultiplyRefs(ref.Pattern, ref, ref, WithAlgorithm(Hybrid), WithThreads(4))
 				if err != nil {
 					errs <- err
 					return

@@ -1,11 +1,9 @@
 // Command mspgemm-bench regenerates the paper's evaluation artifacts
-// (Figures 7–16) on synthetic workloads, plus the scheduler-skew
-// experiment of DESIGN.md §9 and the per-row poly-algorithm
-// experiment of DESIGN.md §10. Each figure is a subcommand; "all"
-// runs everything at the default (CI-scale) sizes; "sched" runs the
-// scheduling sweep (BENCH_sched.json), "hybridmix" the mask-density
-// mixed-binding sweep (BENCH_hybridmix.json), "bitmap" the MaskedBit
-// accumulator experiment (BENCH_bitmap.json), "calibrate" the
+// (Figures 7–16) on synthetic workloads, plus the per-row
+// poly-algorithm experiment of DESIGN.md §10. Each figure is a
+// subcommand; "all" runs everything at the default (CI-scale) sizes;
+// "hybridmix" runs the mask-density mixed-binding sweep
+// (BENCH_hybridmix.json), "bitmap" the MaskedBit accumulator experiment (BENCH_bitmap.json), "calibrate" the
 // static-vs-calibrated cost-model experiment (BENCH_calibrate.json)
 // for the perf trajectory, and "cancel" the cancel-token polling
 // overhead experiment (BENCH_cancel.json) behind the fault-containment
@@ -13,7 +11,7 @@
 //
 // Usage:
 //
-//	mspgemm-bench [flags] fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|fig15|fig16|sched|hybridmix|bitmap|calibrate|cancel|all
+//	mspgemm-bench [flags] fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|fig15|fig16|hybridmix|bitmap|calibrate|cancel|all
 //
 // Flags:
 //
@@ -23,7 +21,6 @@
 //	-batch N          betweenness-centrality batch size (default 64; paper 512)
 //	-dim N            Fig-7 matrix dimension exponent (default 12, i.e. 2^12)
 //	-ktruss N         truss order k (default 5)
-//	-sched-out F      where "sched" writes its JSON (default BENCH_sched.json)
 //	-hybridmix-out F  where "hybridmix" writes its JSON (default BENCH_hybridmix.json)
 //	-bitmap-out F     where "bitmap" writes its JSON (default BENCH_bitmap.json)
 //	-calibrate-out F  where "calibrate" writes its JSON (default BENCH_calibrate.json)
@@ -49,7 +46,6 @@ func main() {
 		batch    = flag.Int("batch", 64, "BC source batch size")
 		dimExp   = flag.Int("dim", 12, "Fig-7 dimension exponent (2^dim)")
 		ktrussK  = flag.Int("ktruss", 5, "k-truss order")
-		schedOut = flag.String("sched-out", "BENCH_sched.json", "output path for the sched subcommand's JSON")
 		mixOut   = flag.String("hybridmix-out", "BENCH_hybridmix.json", "output path for the hybridmix subcommand's JSON")
 		bitOut   = flag.String("bitmap-out", "BENCH_bitmap.json", "output path for the bitmap subcommand's JSON")
 		calOut   = flag.String("calibrate-out", "BENCH_calibrate.json", "output path for the calibrate subcommand's JSON")
@@ -58,7 +54,7 @@ func main() {
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: mspgemm-bench [flags] fig7|...|fig16|sched|hybridmix|bitmap|calibrate|cancel|all")
+		fmt.Fprintln(os.Stderr, "usage: mspgemm-bench [flags] fig7|...|fig16|hybridmix|bitmap|calibrate|cancel|all")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
@@ -76,7 +72,6 @@ func main() {
 		batch:    *batch,
 		dimExp:   *dimExp,
 		ktrussK:  *ktrussK,
-		schedOut: *schedOut,
 		mixOut:   *mixOut,
 		bitOut:   *bitOut,
 		calOut:   *calOut,
@@ -102,7 +97,7 @@ func main() {
 
 type runner struct {
 	threads, reps, scaleMax, batch, dimExp, ktrussK int
-	schedOut, mixOut, bitOut, calOut, cancOut       string
+	mixOut, bitOut, calOut, cancOut                 string
 }
 
 // scales returns the R-MAT sweep 8..scaleMax (paper: 8..20).
@@ -232,30 +227,6 @@ func (r runner) run(figure string) error {
 			return err
 		}
 		bench.WriteProfile(w, "Figure 16: Betweenness Centrality — ours vs SS:SAXPY*", p)
-	case "sched":
-		cfg := bench.DefaultSchedSkewConfig()
-		if r.scaleMax < cfg.Scale {
-			cfg.Scale = r.scaleMax
-		}
-		cfg.Reps = r.reps
-		cfg.Threads = r.threadsSweep()
-		pts, err := bench.RunSchedSkew(cfg)
-		if err != nil {
-			return err
-		}
-		bench.WriteSchedSkew(w, cfg, pts)
-		f, err := os.Create(r.schedOut)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteSchedJSON(f, cfg, pts); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", r.schedOut)
 	case "hybridmix":
 		cfg := bench.DefaultHybridMixConfig()
 		if r.scaleMax < cfg.Scale {

@@ -189,51 +189,6 @@ func TestCheckCorrectness(t *testing.T) {
 	}
 }
 
-func TestRunSchedSkewTiny(t *testing.T) {
-	cfg := SchedSkewConfig{Scale: 8, EdgeFactor: 8, Threads: []int{1, 2}, Reps: 1, Seed: 5}
-	pts, err := RunSchedSkew(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2 workloads × 2 thread counts × 3 schedules.
-	if len(pts) != 12 {
-		t.Fatalf("points = %d, want 12", len(pts))
-	}
-	fixedSeen := map[string]bool{}
-	for _, p := range pts {
-		if p.Seconds <= 0 {
-			t.Errorf("non-positive time: %+v", p)
-		}
-		if p.Schedule == "FixedGrain" {
-			if p.SpeedupVsFixed != 1 {
-				t.Errorf("fixed-grain speedup vs itself = %v", p.SpeedupVsFixed)
-			}
-			fixedSeen[p.Workload] = true
-		}
-	}
-	if !fixedSeen["rmat-hubs"] || !fixedSeen["er-uniform"] {
-		t.Error("missing workloads in sweep")
-	}
-	var buf bytes.Buffer
-	WriteSchedSkew(&buf, cfg, pts)
-	if !strings.Contains(buf.String(), "CostPartition") {
-		t.Error("table missing schedule column")
-	}
-	buf.Reset()
-	if err := WriteSchedJSON(&buf, cfg, pts); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Points []SchedSkewPoint `json:"points"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("BENCH_sched.json round-trip: %v", err)
-	}
-	if len(doc.Points) != len(pts) {
-		t.Fatalf("JSON points = %d, want %d", len(doc.Points), len(pts))
-	}
-}
-
 // TestRunBitmapMixTiny exercises the MaskedBit experiment end to end
 // at a small scale: every workload carries all eight schemes, the
 // Hybrid points expose their family mix, and the JSON document
@@ -330,21 +285,5 @@ func TestRunCancelOverheadTiny(t *testing.T) {
 	}
 	if doc.Result.Ratio != res.Ratio {
 		t.Errorf("JSON ratio = %v, want %v", doc.Result.Ratio, res.Ratio)
-	}
-}
-
-// TestSkewedGraphIsSkewed pins the adversarial construction: after the
-// degree-ascending relabel the heaviest rows are adjacent at the tail,
-// so the last DefaultGrain-row blocks hold a disproportionate share of
-// the flops and are discovered last by fixed-grain claiming.
-func TestSkewedGraphIsSkewed(t *testing.T) {
-	g := SkewedGraph(10, 16, 3)
-	for i := 1; i < g.Rows; i++ {
-		if g.RowNNZ(i) < g.RowNNZ(i-1) {
-			t.Fatalf("degrees not non-decreasing at row %d", i)
-		}
-	}
-	if g.RowNNZ(g.Rows-1) < 8*int(g.NNZ())/g.Rows {
-		t.Fatalf("tail row degree %d is not a hub (mean %d)", g.RowNNZ(g.Rows-1), int(g.NNZ())/g.Rows)
 	}
 }

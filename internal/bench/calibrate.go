@@ -64,7 +64,7 @@ type CalibratePoint struct {
 	// may drift.
 	Ratio float64 `json:"ratio"`
 	// BindingChanged reports whether the fitted coefficients moved any
-	// row to a different family (or changed the partition layout).
+	// row to a different family.
 	BindingChanged bool `json:"binding_changed"`
 	// StaticRows is the per-family row mix of the literal-model plan.
 	StaticRows map[string]int `json:"static_rows,omitempty"`

@@ -1,15 +1,14 @@
 // Package calibrate fits the per-family cost-model coefficients on
-// the local host (DESIGN.md §14). The §9/§10 RowCost estimators are
+// the local host (DESIGN.md §14). The §10 RowCost estimators are
 // structural constants tuned on one machine; the paper's own §5
 // family crossovers shift with cache geometry, so a model that is
 // right about *shape* can still be wrong about *scale* per family —
-// and scale errors move the Hybrid crossovers and the equal-cost
-// partition bounds. The startup micro-benchmark runs each accumulator
+// and scale errors move the Hybrid crossovers. The startup micro-benchmark runs each accumulator
 // family over small synthetic workloads, regresses the measured wall
 // times against the uncalibrated model's predicted costs (least
 // squares through the origin), and returns one multiplicative
-// coefficient per family, normalized so MSA stays 1.0 — selection and
-// partitioning compare costs, so only relative scale matters.
+// coefficient per family, normalized so MSA stays 1.0 — selection
+// compares costs, so only relative scale matters.
 package calibrate
 
 import (
@@ -119,7 +118,6 @@ func Fit(cfg Config) Result {
 				Algorithm:      core.AlgoHybrid,
 				HybridFamilies: core.Families(f),
 				Threads:        1,
-				Schedule:       core.SchedFixedGrain,
 			}
 			plan, err := core.NewPlan[float64](sr, mask, a, a, opt, nil)
 			if err != nil {

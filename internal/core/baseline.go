@@ -63,9 +63,7 @@ func SpGEMM[T any, S semiring.Semiring[T]](sr S, a, b *sparse.CSR[T], opt Option
 	numeric := func(tid, i int, outIdx []int32, outVal []T) int {
 		return unmaskedRowNumeric(slots.get(tid), a.Row(i), a.RowVals(i), b, outIdx, outVal)
 	}
-	// No plan-time cost profile here, so Auto/CostPartition degrade to
-	// their profile-free substitutes.
-	sch := unprofiledSched(opt)
+	sch := rowSched{threads: opt.Threads, grain: opt.Grain}
 	if opt.Phases == TwoPhase {
 		symbolic := func(tid, i int) int {
 			return unmaskedRowSymbolic(slots.get(tid), a.Row(i), b)

@@ -20,6 +20,43 @@ import (
 //
 // Kernels receive a tid to index per-worker accumulator scratch.
 
+// rowSched is the descriptor the engine drivers schedule row passes
+// with: the worker count and row grain of parallel.ForEachBlockStats
+// (DESIGN.md §9), an optional telemetry target, and the
+// fault-containment hooks — the cancel token workers poll at block
+// claims and the fault-injection hooks loaded for this execution (both
+// usually nil; DESIGN.md §15).
+type rowSched struct {
+	threads, grain int
+	stats          *parallel.SchedStats
+	cancel         *parallel.CancelToken
+	fi             *faultinject.Hooks
+}
+
+// run executes fn over [0, n) on the work-stealing row scheduler.
+func (s rowSched) run(n int, fn func(lo, hi, tid int)) {
+	parallel.ForEachBlockStats(n, s.threads, s.grain, s.stats, s.cancel, fn)
+}
+
+// enterPass is the checkpoint at a pass's entry: it fires the armed
+// pass-granularity fault hooks, then reports cancellation so a
+// canceled execution stops before starting the pass at all.
+func (s rowSched) enterPass(p faultinject.Pass) error {
+	s.fi.AtPass(p, s.cancel)
+	return s.passCanceled(p)
+}
+
+// passCanceled is the checkpoint after a pass's row sweep: a latched
+// token means the scheduler broke out early and the pass's output is
+// partial, so the driver must discard it and surface which pass was
+// interrupted.
+func (s rowSched) passCanceled(p faultinject.Pass) error {
+	if s.cancel.Canceled() {
+		return &CanceledError{Pass: string(p)}
+	}
+	return nil
+}
+
 // rowNumericFn computes output row i into out slices (capacity ≥ the
 // row's bound) and returns the entry count.
 type rowNumericFn[T any] func(tid, i int, outIdx []int32, outVal []T) int
@@ -75,12 +112,11 @@ func (k *kernels[T]) symbolicSegment(lo, hi int) (int, rowSymbolicFn) {
 
 // onePhase runs the numeric kernel once per row into a slab laid out by
 // offsets (len rows+1, offsets[i+1]-offsets[i] ≥ row i's worst case),
-// then compacts. Row passes are scheduled by sch (fixed-grain,
-// cost-partitioned, or work-stealing — DESIGN.md §9) and follow the
-// kernel binding's run boundaries. es supplies pooled scratch; nil
-// allocates fresh. Cancellation (sch.cancel) is checked at pass
-// checkpoints and block claims; an interrupted execution returns
-// *CanceledError and no partial result.
+// then compacts. Row passes are scheduled by sch (work stealing —
+// DESIGN.md §9) and follow the kernel binding's run boundaries. es
+// supplies pooled scratch; nil allocates fresh. Cancellation
+// (sch.cancel) is checked at pass checkpoints and block claims; an
+// interrupted execution returns *CanceledError and no partial result.
 func onePhase[T any](rows, cols int, offsets []int64, sch rowSched, k kernels[T], es *engineScratch[T]) (*sparse.CSR[T], error) {
 	if err := sch.enterPass(faultinject.PassNumeric); err != nil {
 		return nil, err

@@ -15,8 +15,8 @@ import (
 // being processed"), generalized from the original pull-vs-push
 // choice to the full accumulator menu. During plan analysis every
 // output row is scored under the registry's per-family cost models
-// (SchemeInfo.RowCost) on the same structural inputs the scheduler's
-// masked-flops profile uses, and bound to the cheapest admissible
+// (SchemeInfo.RowCost) on its structural inputs (mask and A-row
+// populations, Gustavson flops), and bound to the cheapest admissible
 // family. The decisions are stored in the immutable plan as *runs* —
 // maximal stretches of consecutive rows sharing one binding — so the
 // engine drivers dispatch once per run, not once per row, and cached
@@ -124,10 +124,10 @@ func FamilyAlgorithm(f Family) (Algorithm, bool) {
 // 1.0 is bit-for-bit identity, so uncalibrated sessions reproduce the
 // DESIGN.md §10 literals exactly. Calibrated arrays come from
 // internal/calibrate's startup micro-benchmark, normalized so FamMSA
-// stays 1.0 — selection and partitioning only compare costs, so only
-// relative scale matters. CostCoeffs is a comparable array: it rides
-// inside Options and therefore inside plan-cache keys, making a
-// calibrated binding a distinct cached analysis from a literal one.
+// stays 1.0 — selection only compares costs, so only relative scale
+// matters. CostCoeffs is a comparable array: it rides inside Options
+// and therefore inside plan-cache keys, making a calibrated binding a
+// distinct cached analysis from a literal one.
 type CostCoeffs [NumFamilies]float64
 
 // IsZero reports the uncalibrated zero value.
@@ -139,10 +139,8 @@ func (c CostCoeffs) IsZero() bool { return c == CostCoeffs{} }
 const famAny = uint8(255)
 
 // RowCostContext carries the per-row structural quantities every
-// family cost model reads. Flops is the row's Gustavson term of the
-// masked-flops vector (DESIGN.md §9) — the shared input of selection
-// and scheduling. Absolute cost scale cancels in selection; only the
-// crossovers between families matter.
+// family cost model reads. Absolute cost scale cancels in selection;
+// only the crossovers between families matter.
 type RowCostContext struct {
 	// MaskNNZ is nnz(m_i).
 	MaskNNZ int
@@ -379,14 +377,13 @@ func polyCandidates(opt Options) []Family {
 
 // polyScan evaluates the candidate cost models on every row and
 // writes each row's cheapest admissible family into fam (famAny for
-// rows with no work under any family) and, when cost is non-nil, the
-// chosen cost — the scheduling profile planSchedule reuses. prof,
-// when non-nil, additionally captures the structural model inputs
-// (per-row flops and A-row populations, d̄_B) the replanner needs to
-// re-run this selection later without touching A or B (DESIGN.md
-// §14); its rowFlops/rowANNZ slices must be pre-sized to mask.Rows.
-// opt must be normalized.
-func polyScan[T any](mask *sparse.Pattern, a, b *sparse.CSR[T], opt Options, fam []uint8, cost []int64, prof *costProfile) {
+// rows with no work under any family). prof, when non-nil,
+// additionally captures the structural model inputs (per-row flops and
+// A-row populations, d̄_B) the replanner needs to re-run this
+// selection later without touching A or B (DESIGN.md §14); its
+// rowFlops/rowANNZ slices must be pre-sized to mask.Rows. opt must be
+// normalized.
+func polyScan[T any](mask *sparse.Pattern, a, b *sparse.CSR[T], opt Options, fam []uint8, prof *costProfile) {
 	fams := polyCandidates(opt)
 	models := make([]func(RowCostContext) float64, len(fams))
 	for i, f := range fams {
@@ -421,9 +418,6 @@ func polyScan[T any](mask *sparse.Pattern, a, b *sparse.CSR[T], opt Options, fam
 			}
 			if admitted == 0 || flops == 0 {
 				fam[i] = famAny
-				if cost != nil {
-					cost[i] = 1
-				}
 				continue
 			}
 			ctx := RowCostContext{
@@ -438,9 +432,6 @@ func polyScan[T any](mask *sparse.Pattern, a, b *sparse.CSR[T], opt Options, fam
 				}
 			}
 			fam[i] = uint8(best)
-			if cost != nil {
-				cost[i] = 1 + int64(bestCost)
-			}
 		}
 	})
 }
@@ -512,31 +503,24 @@ func resolveTrivial(fam []uint8) {
 }
 
 // planHybrid runs the per-row selector and stores the decisions in
-// the immutable plan as runs. With needCost it also returns the
-// per-row chosen costs, which planSchedule uses as its scheduling
-// profile — selection and scheduling read one shared cost picture;
-// plans whose schedule ignores the profile (explicitly cost-blind,
-// or serial on a small structure) skip the O(rows) vector entirely.
-// Profiled plans additionally retain the selector's structural
-// inputs (p.profile) so the replanner can re-bind them later without
-// re-reading A or B.
+// the immutable plan as runs. With retain, the plan also keeps the
+// selector's structural inputs (p.profile) so the replanner can
+// re-bind it later under calibrated coefficients without re-reading A
+// or B.
 //
 //mspgemm:planwrite
-func (p *Plan[T, S]) planHybrid(a, b *sparse.CSR[T], needCost bool) []int64 {
+func (p *Plan[T, S]) planHybrid(a, b *sparse.CSR[T], retain bool) {
 	rowFam := make([]uint8, p.mask.Rows)
-	var cost []int64
 	var prof *costProfile
-	if needCost {
-		cost = make([]int64, p.mask.Rows)
+	if retain {
 		prof = &costProfile{
 			rowFlops: make([]int64, p.mask.Rows),
 			rowANNZ:  make([]int32, p.mask.Rows),
 		}
 		p.profile = prof
 	}
-	polyScan(p.mask, a, b, p.opt, rowFam, cost, prof)
+	polyScan(p.mask, a, b, p.opt, rowFam, prof)
 	p.encodeRuns(rowFam)
-	return cost
 }
 
 // encodeRuns compresses the resolved per-row families into the plan's
@@ -665,7 +649,7 @@ func HybridFamilyRows[T any](mask *sparse.Pattern, a, b *sparse.CSR[T], opt Opti
 	opt.Algorithm = AlgoHybrid
 	opt.normalize()
 	fam := make([]uint8, mask.Rows)
-	polyScan(mask, a, b, opt, fam, nil, nil)
+	polyScan(mask, a, b, opt, fam, nil)
 	resolveTrivial(fam)
 	var out [NumFamilies]int
 	for _, f := range fam {

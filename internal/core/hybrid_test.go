@@ -263,30 +263,3 @@ func TestFamiliesRejectsInvalid(t *testing.T) {
 	}()
 	Families(NumFamilies)
 }
-
-// TestHybridSchedProfileShared checks the poly selector's chosen
-// costs feed the scheduler: a skewed poly plan still resolves the
-// SchedAuto policy from a cost profile (non-zero skew).
-func TestHybridSchedProfileShared(t *testing.T) {
-	const n = 256
-	coo := sparse.NewCOO[float64](n, n, 0)
-	rng := gen.NewRNG(77)
-	for i := 0; i < n; i++ {
-		deg := 1
-		if i >= n-8 {
-			deg = n / 2 // a few hub mask rows dominate the cost
-		}
-		for d := 0; d < deg; d++ {
-			coo.Append(int32(i), int32(rng.Intn(n)), 1)
-		}
-	}
-	maskM, err := coo.ToCSR(func(x, y float64) float64 { return x })
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := gen.Random(n, n, 16, 78)
-	p := polyTestPlan(t, maskM.PatternView(), a, a, Options{Threads: 4})
-	if p.CostSkew() == 0 {
-		t.Error("poly plan measured no cost skew on a hub-dominated mask")
-	}
-}

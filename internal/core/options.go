@@ -108,46 +108,6 @@ func (p Phases) String() string {
 	return "1P"
 }
 
-// Schedule selects how the engine's parallel row passes divide work
-// among workers (DESIGN.md §9). The default, SchedAuto, lets the plan
-// choose from its measured per-row cost profile.
-type Schedule uint8
-
-const (
-	// SchedAuto resolves per plan from the measured row-cost skew:
-	// cost-partitioned scheduling when a few rows dominate the flops
-	// profile (max row cost ≫ mean), fixed-grain blocks otherwise.
-	// Paths without a cost profile (plain SpGEMM, direct baselines)
-	// degrade to fixed grain.
-	SchedAuto Schedule = iota
-	// SchedFixedGrain claims fixed-size row blocks (Options.Grain) from
-	// a shared atomic counter — the original §3 dynamic scheduler,
-	// blind to row cost.
-	SchedFixedGrain
-	// SchedCostPartition drives workers over variable-width row
-	// partitions of near-equal estimated cost, laid out at plan time
-	// from the masked-flops profile; the partitions ship with cached
-	// plans for free.
-	SchedCostPartition
-	// SchedWorkSteal gives each worker a contiguous deque of rows and
-	// lets idle workers steal the back half of a loaded victim's
-	// remaining range — absorbs skew without needing a cost profile.
-	SchedWorkSteal
-)
-
-// String names the strategy ("Auto", "FixedGrain", ...).
-func (s Schedule) String() string {
-	switch s {
-	case SchedFixedGrain:
-		return "FixedGrain"
-	case SchedCostPartition:
-		return "CostPartition"
-	case SchedWorkSteal:
-		return "WorkSteal"
-	}
-	return "Auto"
-}
-
 // Options configures a masked multiplication.
 type Options struct {
 	// Algorithm picks the scheme; default AlgoMSA.
@@ -160,13 +120,8 @@ type Options struct {
 	// Threads is the worker count; < 1 means GOMAXPROCS.
 	Threads int
 	// Grain is the scheduler row-block size; < 1 means
-	// parallel.DefaultGrain. Used by SchedFixedGrain and SchedWorkSteal;
-	// SchedCostPartition derives its variable-width blocks from the
-	// plan's cost profile instead.
+	// parallel.DefaultGrain.
 	Grain int
-	// Schedule picks the row-scheduling strategy; the default SchedAuto
-	// chooses per plan from the measured row-cost skew (DESIGN.md §9).
-	Schedule Schedule
 	// CollectSchedStats records per-worker scheduler telemetry (busy
 	// time, blocks claimed/stolen) on every execution, readable via
 	// Executor.SchedStats. Costs two clock reads per scheduled block;
@@ -192,10 +147,9 @@ type Options struct {
 	// CostCoeffs scales the per-family RowCost models by measured
 	// per-host coefficients (internal/calibrate's startup fit); the
 	// zero value prices with the DESIGN.md §10 literals, bit for bit.
-	// Plan-affecting: coefficients move the Hybrid per-row crossovers
-	// and the §9 partition bounds, so they are part of plan identity —
-	// a calibrated session's plans never alias an uncalibrated
-	// client's.
+	// Plan-affecting: coefficients move the Hybrid per-row crossovers,
+	// so they are part of plan identity — a calibrated session's plans
+	// never alias an uncalibrated client's.
 	CostCoeffs CostCoeffs
 	// InnerGallop switches AlgoInner's dot products from two-pointer
 	// merges to galloping (exponential + binary search) — profitable

@@ -17,8 +17,8 @@ import (
 // scheme's capability check, one-phase slab offsets (the mask's own
 // layout for plain masks, the §5.2 bounds for complemented ones), the
 // CSC structure of B for the pull-based schemes, the Hybrid per-row
-// pull/push decisions, accumulator sizing hints, and the flops
-// profile. Executing the plan then does only the numeric work.
+// pull/push decisions and accumulator sizing hints. Executing the
+// plan then does only the numeric work.
 //
 // The applications the paper benchmarks are iterative — k-truss
 // repeats C = M ⊙ (A·A) to a fixed point, betweenness runs one masked
@@ -66,17 +66,9 @@ type Plan[T any, S semiring.Semiring[T]] struct {
 	runEnds  []int32
 	runFam   []uint8
 	polyFams FamilySet
-	// sched is the resolved scheduling strategy (never SchedAuto) and
-	// partBounds the equal-cost partition boundaries it uses under
-	// SchedCostPartition; costSkew is the measured max/mean row-cost
-	// ratio that drove the SchedAuto policy (DESIGN.md §9).
-	sched      Schedule
-	partBounds []int
-	costSkew   float64
-	// profile is the retained per-row cost picture the replanner
-	// re-splits or re-binds from (DESIGN.md §14); nil when scheduling
-	// analysis was skipped (cost-blind schedules, small serial plans,
-	// direct schemes).
+	// profile is the retained Hybrid selector input the replanner
+	// re-binds from (DESIGN.md §14); nil except on Hybrid plans with
+	// more than one worker, the only plans a re-bind can rebalance.
 	profile *costProfile
 	// heapNInspect is the resolved NInspect for the heap schemes.
 	heapNInspect int
@@ -143,7 +135,6 @@ func newDetachedPlan[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, 
 				p.offsets = mask.RowPtr
 			}
 		}
-		var polyCost []int64
 		switch opt.Algorithm {
 		case AlgoHash, AlgoMCA:
 			p.maxMaskRow = mask.MaxRowNNZ()
@@ -151,13 +142,7 @@ func newDetachedPlan[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, 
 			p.maxARow = a.MaxRowNNZ()
 			p.heapNInspect = resolveHeapNInspect(opt)
 		case AlgoHybrid:
-			// The chosen costs feed planSchedule; skip the vector when
-			// its early returns would discard it (mirrors its policy:
-			// serial plans still profile once the structure is big
-			// enough for a later re-bind to matter).
-			needCost := opt.Schedule != SchedFixedGrain && opt.Schedule != SchedWorkSteal &&
-				(opt.Threads > 1 || mask.Rows >= profileMinRows)
-			polyCost = p.planHybrid(a, b, needCost)
+			p.planHybrid(a, b, opt.Threads > 1)
 			// Sizing hints only for the families some run actually
 			// bound — unused families must stay costless. Only the
 			// plain-mask Hash/MCA binders read maxMaskRow (the
@@ -175,9 +160,6 @@ func newDetachedPlan[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, 
 		if p.needsCSC() && !info.TransposePerExecute {
 			p.btPtr, p.btIdx, p.btPerm = sparse.ToCSCStructure(b)
 		}
-		// Scheduling comes last: the per-row poly costs double as the
-		// scheduling profile.
-		p.planSchedule(a, b, polyCost)
 	}
 	return p, nil
 }
@@ -241,10 +223,8 @@ func (p *Plan[T, S]) footprintBytes() int64 {
 	}
 	bytes += int64(len(p.btPtr))*8 + int64(len(p.btIdx))*4 + int64(len(p.btPerm))*8
 	bytes += int64(len(p.runEnds))*4 + int64(len(p.runFam))
-	bytes += int64(len(p.partBounds)) * 8
 	if p.profile != nil {
-		bytes += int64(len(p.profile.rowCost))*8 + int64(len(p.profile.rowFlops))*8 +
-			int64(len(p.profile.rowANNZ))*4
+		bytes += int64(len(p.profile.rowFlops))*8 + int64(len(p.profile.rowANNZ))*4
 	}
 	return bytes
 }
@@ -349,8 +329,7 @@ func (p *Plan[T, S]) ExecuteOnOpts(exec *Executor[T, S], a, b *sparse.CSR[T], eo
 	k := exec.kernelsFor(p, a, b)
 	es := &exec.scratch
 	es.reuseOut = eo.ReuseOutput
-	sch := rowSched{threads: p.opt.Threads, grain: p.opt.Grain, mode: p.sched, bounds: p.partBounds,
-		cancel: cancel, fi: fi}
+	sch := rowSched{threads: p.opt.Threads, grain: p.opt.Grain, cancel: cancel, fi: fi}
 	if eo.CollectSchedStats {
 		sch.stats = &exec.schedStats
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 
+	"maskedspgemm/internal/parallel"
 	"maskedspgemm/internal/semiring"
 	"maskedspgemm/internal/sparse"
 )
@@ -51,6 +52,11 @@ type PlanCache[T any, S semiring.Semiring[T]] struct {
 	sr         S
 	maxEntries int
 	maxBytes   int64
+	// threads is the worker count requests with Threads < 1 plan and
+	// key under, resolved from GOMAXPROCS once at construction: a key
+	// must never read ambient runtime state, or a later GOMAXPROCS
+	// change would split one structure across two entries.
+	threads int
 
 	mu        sync.Mutex
 	lru       *list.List // front = most recently used; values are *planEntry[T, S]
@@ -119,7 +125,9 @@ const DefaultPlanCacheEntries = 128
 // NewPlanCache returns an empty cache over the given semiring holding
 // at most maxEntries plans (<= 0 means DefaultPlanCacheEntries) and at
 // most maxBytes of estimated analysis memory (<= 0 means unbounded).
-// Both bounds evict least-recently-used entries.
+// Both bounds evict least-recently-used entries. Requests that leave
+// Options.Threads at its default run with the GOMAXPROCS in effect
+// here, for the cache's whole life.
 func NewPlanCache[T any, S semiring.Semiring[T]](sr S, maxEntries int, maxBytes int64) *PlanCache[T, S] {
 	if maxEntries <= 0 {
 		maxEntries = DefaultPlanCacheEntries
@@ -128,6 +136,7 @@ func NewPlanCache[T any, S semiring.Semiring[T]](sr S, maxEntries int, maxBytes 
 		sr:         sr,
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
+		threads:    parallel.Threads(0),
 		lru:        list.New(),
 		table:      make(map[planKey]*list.Element),
 		inflight:   make(map[planKey]*planCall[T, S]),
@@ -239,6 +248,9 @@ func (c *PlanCache[T, S]) GetOrPlan(mask *sparse.Pattern, a, b *sparse.CSR[T], o
 // another goroutine's in-flight planning reports hit = false: the
 // structure was not yet cached when the request arrived.
 func (c *PlanCache[T, S]) GetOrPlanObserved(mask *sparse.Pattern, a, b *sparse.CSR[T], opt Options) (*Plan[T, S], bool, error) {
+	if opt.Threads < 1 {
+		opt.Threads = c.threads
+	}
 	opt.normalize()
 	opt = opt.planIdentity()
 	key := c.keyFor(mask, a, b, opt)
@@ -412,7 +424,6 @@ func (c *PlanCache[T, S]) Stats() PlanCacheStats {
 			drift = append(drift, PlanDrift{
 				Scheme:        p.opt.SchemeName(),
 				Rows:          p.mask.Rows,
-				Schedule:      p.sched.String(),
 				EwmaImbalance: entry.fb.ewmaImbalance,
 				EwmaWallNanos: int64(entry.fb.ewmaWall),
 				Samples:       entry.fb.samples,

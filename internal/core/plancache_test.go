@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -496,9 +497,10 @@ func TestPlanCacheSingleflightError(t *testing.T) {
 // re-plan (and re-panic) instead of blocking forever on a wedged key.
 func TestPlanCacheSingleflightPanic(t *testing.T) {
 	// Structurally malformed A: a column index far past B's rows makes
-	// the plan-time cost walk index out of range. Shapes are valid, so
-	// validation passes and the panic happens mid-analysis. Rows stay
-	// under the grain so the analysis runs on the calling goroutine.
+	// the Hybrid selector's per-row flops walk index out of range.
+	// Shapes are valid, so validation passes and the panic happens
+	// mid-analysis. Rows stay under the grain so the analysis runs on
+	// the calling goroutine.
 	const n = 40
 	badA := &sparse.CSR[float64]{
 		Pattern: sparse.Pattern{Rows: n, Cols: n, RowPtr: make([]int64, n+1), ColIdx: []int32{90}},
@@ -510,7 +512,7 @@ func TestPlanCacheSingleflightPanic(t *testing.T) {
 	_, _, b := buildCase(caseSpec{"", n, n, n, 4, 4, 4, 31})
 	mask := gen.Random(n, n, 4, 32).PatternView()
 	cache := NewPlanCache(ptSR, 0, 0)
-	opt := Options{Algorithm: AlgoMSA, Threads: 2}
+	opt := Options{Algorithm: AlgoHybrid, Threads: 2}
 
 	panicked := func() (p bool) {
 		defer func() { p = recover() != nil }()
@@ -666,5 +668,34 @@ func TestPlanCacheObservedReportsMiss(t *testing.T) {
 	}
 	if _, hit, err := cache.GetOrPlanObserved(mask, a, b, Options{}); err != nil || !hit {
 		t.Fatalf("second lookup: hit=%v err=%v, want hit", hit, err)
+	}
+}
+
+// TestPlanCacheDefaultThreadsStable pins that a request leaving Threads
+// at its default keys under the worker count resolved when the cache
+// was built: a GOMAXPROCS change between two lookups of the same
+// structure must still hit, never split it across two entries.
+func TestPlanCacheDefaultThreadsStable(t *testing.T) {
+	mask, a, b := buildCase(caseSpec{"", 96, 96, 96, 8, 8, 8, 52})
+	prev := runtime.GOMAXPROCS(3)
+	defer runtime.GOMAXPROCS(prev)
+	cache := NewPlanCache(ptSR, 0, 0)
+	first, err := cache.GetOrPlan(mask, a, b, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := first.Options().Threads; got != 3 {
+		t.Fatalf("default-threads plan runs %d workers, want the construction-time GOMAXPROCS 3", got)
+	}
+	runtime.GOMAXPROCS(1)
+	second, hit, err := cache.GetOrPlanObserved(mask, a, b, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit || second != first {
+		t.Fatal("lookup after a GOMAXPROCS change missed the cached plan")
+	}
+	if n := cache.Len(); n != 1 {
+		t.Errorf("cache holds %d entries, want 1", n)
 	}
 }

@@ -7,18 +7,17 @@ import (
 )
 
 // Online plan re-binding (DESIGN.md §14). Every stat-collecting
-// execution already measures the truth the §9/§10 cost models only
+// execution already measures the truth the §10 cost models only
 // predict: per-worker busy times (whose ratio is the imbalance
 // factor) and the wall time of the whole product. ObserveExecution
 // feeds that truth back into the plan-cache entry that produced it;
 // a plan whose imbalance EWMA stays above threshold for K consecutive
-// observed hits is re-bound in the background — re-partitioned from
-// its retained cost profile, re-selected under calibrated
-// coefficients, or handed to the work-stealing scheduler — and the
-// new immutable Plan is swapped into the cache atomically. In-flight
+// observed hits is re-bound in the background — its Hybrid per-row
+// selection re-run under the calibrated coefficients — and the new
+// immutable Plan is swapped into the cache atomically. In-flight
 // executions of the old plan finish on the old plan (it is immutable
 // and they hold their own pointer); the next cache hit picks up the
-// replacement. Cached plans get faster the more they're hit.
+// replacement.
 
 // Replan defaults; see ReplanPolicy.
 const (
@@ -32,11 +31,6 @@ const (
 	// DefaultReplanAlpha is the EWMA smoothing factor for the per-plan
 	// imbalance and wall-time trackers.
 	DefaultReplanAlpha = 0.25
-	// DefaultMaxPartsPerWorker caps the partition-slack escalation:
-	// each re-partition doubles the partitions per worker (finer
-	// splits absorb more cost-model error) until this ceiling, after
-	// which the ladder falls through to work stealing.
-	DefaultMaxPartsPerWorker = 16
 )
 
 // ReplanPolicy tunes the online feedback loop enabled by
@@ -52,13 +46,11 @@ type ReplanPolicy struct {
 	// Alpha is the EWMA smoothing factor in (0, 1]; out-of-range means
 	// DefaultReplanAlpha.
 	Alpha float64
-	// MaxPartsPerWorker caps partition-slack escalation; <= 0 means
-	// DefaultMaxPartsPerWorker.
-	MaxPartsPerWorker int
-	// Coeffs, when non-zero, is the calibrated coefficient set a full
-	// Hybrid re-bind re-runs the per-row selector with — the startup
-	// micro-benchmark's fit, applied online only to plans that keep
-	// measuring imbalanced under their literal-cost binding.
+	// Coeffs is the calibrated coefficient set a Hybrid re-bind re-runs
+	// the per-row selector with — the startup micro-benchmark's fit,
+	// applied online only to plans that keep measuring imbalanced under
+	// their literal-cost binding. The zero value disables re-binding:
+	// there is nothing to re-bind to.
 	Coeffs CostCoeffs
 }
 
@@ -72,9 +64,6 @@ func (p ReplanPolicy) withDefaults() ReplanPolicy {
 	}
 	if p.Alpha <= 0 || p.Alpha > 1 {
 		p.Alpha = DefaultReplanAlpha
-	}
-	if p.MaxPartsPerWorker <= 0 {
-		p.MaxPartsPerWorker = DefaultMaxPartsPerWorker
 	}
 	return p
 }
@@ -94,25 +83,24 @@ type planFeedback struct {
 	overStreak int
 	// replans counts how many times this entry's plan was swapped.
 	replans int
-	// slack is the current partitions-per-worker of a re-partitioned
-	// plan (0 = plan-time default).
-	slack int
 	// rebinding marks an in-flight background re-bind; at most one
 	// per entry.
 	rebinding bool
-	// exhausted marks the ladder's end (work stealing, or nothing to
-	// escalate): no further re-binds fire.
+	// exhausted marks an entry with nothing left to re-bind (already
+	// re-bound, or not re-bindable): no further re-binds fire.
 	exhausted bool
 }
 
-// rebindSpec names one rung of the escalation ladder: the target
-// schedule, its partition slack, optionally a new thread width, and
-// optionally a coefficient set to re-run the Hybrid selector with.
-type rebindSpec struct {
-	sched   Schedule
-	slack   int
-	threads int
-	coeffs  *CostCoeffs
+// costProfile is the structural picture a Hybrid plan retains so the
+// replanner can re-run its per-row selection later without touching
+// the caller-owned A and B — which may be mutated, or gone, by then
+// (plans only ever retain the mask; §8 ownership): the per-row flops
+// and A-row populations and d̄_B, the RowCostContext inputs the
+// selector reads.
+type costProfile struct {
+	rowFlops []int64
+	rowANNZ  []int32
+	avgBCol  float64
 }
 
 // EnableReplan turns on the online feedback loop: ObserveExecution
@@ -143,10 +131,10 @@ func (c *PlanCache[T, S]) SetReplanLauncher(f func(func())) {
 // longer in the cache (evicted, or already replaced by a re-bind:
 // measurements of a predecessor must not poison the successor's
 // record). When the imbalance EWMA has stayed above the policy
-// threshold for K consecutive observations, the next ladder rung is
-// re-bound in the background and the resulting plan atomically
-// replaces the entry's; callers keep executing whichever plan their
-// lookup returned — both are immutable — and subsequent hits get the
+// threshold for K consecutive observations, the plan is re-bound in
+// the background and the resulting plan atomically replaces the
+// entry's; callers keep executing whichever plan their lookup
+// returned — both are immutable — and subsequent hits get the
 // replacement.
 func (c *PlanCache[T, S]) ObserveExecution(plan *Plan[T, S], imbalance float64, wall time.Duration) {
 	c.mu.Lock()
@@ -179,8 +167,7 @@ func (c *PlanCache[T, S]) ObserveExecution(plan *Plan[T, S], imbalance float64, 
 		c.mu.Unlock()
 		return
 	}
-	spec, ok := nextRebind(entry, *pol)
-	if !ok {
+	if !rebindable(entry.plan, *pol) {
 		fb.exhausted = true
 		c.mu.Unlock()
 		return
@@ -190,7 +177,8 @@ func (c *PlanCache[T, S]) ObserveExecution(plan *Plan[T, S], imbalance float64, 
 	launch := c.launch
 	c.mu.Unlock()
 
-	job := func() { c.rebindSwap(plan, spec) }
+	coeffs := pol.Coeffs
+	job := func() { c.rebindSwap(plan, coeffs) }
 	if launch != nil {
 		launch(job)
 	} else {
@@ -198,53 +186,14 @@ func (c *PlanCache[T, S]) ObserveExecution(plan *Plan[T, S], imbalance float64, 
 	}
 }
 
-// nextRebind picks the next escalation rung for an over-threshold
-// entry, or reports none left. Ladder: a fixed-grain plan with a
-// profile re-partitions at the default slack; a cost-partitioned
-// Hybrid plan whose binding predates the calibrated coefficients is
-// fully re-bound; a cost-partitioned plan otherwise doubles its
-// partition slack up to the policy cap; past the cap the plan falls
-// through to work stealing, the profile-free terminal rung. Serial
-// plans have nothing to balance. Caller holds the cache mutex.
-func nextRebind[T any, S semiring.Semiring[T]](entry *planEntry[T, S], pol ReplanPolicy) (rebindSpec, bool) {
-	plan := entry.plan
-	fb := &entry.fb
-	if plan.opt.Threads <= 1 {
-		return rebindSpec{}, false
-	}
-	switch plan.sched {
-	case SchedFixedGrain:
-		if plan.profile == nil || plan.profile.total == 0 {
-			// No profile to split: work stealing is the only
-			// skew absorber left.
-			return rebindSpec{sched: SchedWorkSteal}, true
-		}
-		return rebindSpec{sched: SchedCostPartition, slack: costPartsPerWorker}, true
-	case SchedCostPartition:
-		if plan.opt.Algorithm == AlgoHybrid && !pol.Coeffs.IsZero() &&
-			plan.opt.CostCoeffs != pol.Coeffs &&
-			plan.profile != nil && plan.profile.rowFlops != nil {
-			// The model itself may be wrong, not just the split: re-run
-			// the selector with the measured coefficients before
-			// grinding the partitions finer. After this rung the plan
-			// carries pol.Coeffs, so it never refires.
-			co := pol.Coeffs
-			slack := fb.slack
-			if slack < 1 {
-				slack = costPartsPerWorker
-			}
-			return rebindSpec{sched: SchedCostPartition, slack: slack, coeffs: &co}, true
-		}
-		cur := fb.slack
-		if cur < 1 {
-			cur = costPartsPerWorker
-		}
-		if cur*2 <= pol.MaxPartsPerWorker {
-			return rebindSpec{sched: SchedCostPartition, slack: cur * 2}, true
-		}
-		return rebindSpec{sched: SchedWorkSteal}, true
-	}
-	return rebindSpec{}, false
+// rebindable reports whether an over-threshold plan can be re-bound:
+// a Hybrid plan with more than one worker, whose retained selector
+// profile can be re-run under calibrated coefficients it does not
+// already carry. Serial plans have nothing to balance. Caller holds
+// the cache mutex.
+func rebindable[T any, S semiring.Semiring[T]](plan *Plan[T, S], pol ReplanPolicy) bool {
+	return plan.opt.Threads > 1 && plan.opt.Algorithm == AlgoHybrid &&
+		plan.profile != nil && !pol.Coeffs.IsZero() && plan.opt.CostCoeffs != pol.Coeffs
 }
 
 // rebindSwap builds the replacement plan outside the cache lock and
@@ -252,11 +201,11 @@ func nextRebind[T any, S semiring.Semiring[T]](entry *planEntry[T, S], pol Repla
 // launcher's goroutine. If the entry was evicted (or already swapped)
 // while re-binding, the work is dropped — the cache never resurrects
 // a plan the LRU let go.
-func (c *PlanCache[T, S]) rebindSwap(old *Plan[T, S], spec rebindSpec) {
+func (c *PlanCache[T, S]) rebindSwap(old *Plan[T, S], coeffs CostCoeffs) {
 	// Re-binding reads only plan-retained immutable state (mask,
 	// profile), so it is safe against callers mutating A/B and against
 	// concurrent executions of old.
-	next := old.rebind(spec)
+	next := old.rebind(coeffs)
 
 	c.mu.Lock()
 	el, ok := c.index[old]
@@ -266,11 +215,8 @@ func (c *PlanCache[T, S]) rebindSwap(old *Plan[T, S], spec rebindSpec) {
 	}
 	entry := el.Value.(*planEntry[T, S])
 	entry.fb.rebinding = false
-	if next == nil {
-		entry.fb.exhausted = true
-		c.mu.Unlock()
-		return
-	}
+	// One re-bind per entry: the successor carries the coefficients.
+	entry.fb.exhausted = true
 	delete(c.index, old)
 	c.index[next] = el
 	entry.plan = next
@@ -286,12 +232,8 @@ func (c *PlanCache[T, S]) rebindSwap(old *Plan[T, S], spec rebindSpec) {
 		}
 	}
 	entry.fb.replans++
-	entry.fb.slack = spec.slack
-	if next.sched == SchedWorkSteal {
-		entry.fb.exhausted = true
-	}
 	// The successor earns its own record: stale EWMAs from the plan it
-	// replaced must not re-trigger (or mask) its own behaviour.
+	// replaced must not be reported as its own.
 	entry.fb.ewmaImbalance, entry.fb.ewmaWall = 0, 0
 	entry.fb.samples, entry.fb.overStreak = 0, 0
 	c.replans++
@@ -304,54 +246,28 @@ func (c *PlanCache[T, S]) rebindSwap(old *Plan[T, S], spec rebindSpec) {
 	}
 }
 
-// rebind builds a new immutable plan from p's retained analysis under
-// spec: same operands, same kernels registry, new schedule (and, with
-// spec.coeffs, a re-selected Hybrid run encoding). Returns nil when
-// the spec needs a profile p does not retain. The clone is built
-// field by field — Plan embeds a sync.Once — and shares the immutable
-// analysis arrays (mask, offsets, CSC structure) with p; both plans
-// stay independently executable.
+// rebind builds a new immutable plan from p's retained analysis with
+// its Hybrid per-row selection re-run under coeffs: same operands,
+// same kernels registry, a re-selected run encoding. The clone is
+// built field by field — Plan embeds a sync.Once — and shares the
+// immutable analysis arrays (mask, offsets, CSC structure, profile)
+// with p; both plans stay independently executable. p must be
+// rebindable.
 //
 //mspgemm:planwrite
-func (p *Plan[T, S]) rebind(spec rebindSpec) *Plan[T, S] {
+func (p *Plan[T, S]) rebind(coeffs CostCoeffs) *Plan[T, S] {
 	n := &Plan[T, S]{
 		sr: p.sr, opt: p.opt, info: p.info, mask: p.mask,
 		aRows: p.aRows, aCols: p.aCols, bRows: p.bRows, bCols: p.bCols,
 		aNNZ: p.aNNZ, bNNZ: p.bNNZ,
 		offsets: p.offsets,
 		btPtr:   p.btPtr, btIdx: p.btIdx, btPerm: p.btPerm,
-		runEnds: p.runEnds, runFam: p.runFam, polyFams: p.polyFams,
-		sched: p.sched, partBounds: p.partBounds, costSkew: p.costSkew,
 		profile:      p.profile,
 		heapNInspect: p.heapNInspect, maxMaskRow: p.maxMaskRow, maxARow: p.maxARow,
 		reg: p.reg,
 	}
-	if spec.threads > 1 {
-		n.opt.Threads = spec.threads
-	}
-	if spec.coeffs != nil {
-		if p.opt.Algorithm != AlgoHybrid || p.profile == nil || p.profile.rowFlops == nil {
-			return nil
-		}
-		n.opt.CostCoeffs = *spec.coeffs
-		n.rebindRuns()
-	}
-	switch spec.sched {
-	case SchedCostPartition:
-		prof := n.profile
-		if prof == nil || prof.total == 0 {
-			return nil
-		}
-		slack := spec.slack
-		if slack < 1 {
-			slack = costPartsPerWorker
-		}
-		n.sched = SchedCostPartition
-		n.partBounds = costPartitions(prof.rowCost, prof.total, n.opt.Threads*slack)
-	case SchedWorkSteal:
-		n.sched = SchedWorkSteal
-		n.partBounds = nil
-	}
+	n.opt.CostCoeffs = coeffs
+	n.rebindRuns()
 	return n
 }
 
@@ -359,8 +275,7 @@ func (p *Plan[T, S]) rebind(spec rebindSpec) *Plan[T, S] {
 // profile under n's (re-calibrated) coefficients: the RowCostContext
 // inputs come from the plan's own mask and profile — never from A or
 // B, which the §8 ownership contract lets callers mutate between
-// executions — and the chosen costs become the new scheduling
-// profile. Accumulator sizing hints are refreshed for the families
+// executions. Accumulator sizing hints are refreshed for the families
 // the new encoding binds (maxARow from the profiled A-row
 // populations). FamPull is only bindable if the original analysis
 // built the CSC structure.
@@ -394,11 +309,6 @@ func (p *Plan[T, S]) rebindRuns() {
 	cols, complement := p.mask.Cols, opt.Complement
 	nInspect := resolveHeapNInspect(opt)
 	rowFam := make([]uint8, rows)
-	cost := make([]int64, rows)
-	next := &costProfile{
-		rowCost: cost, rowFlops: prof.rowFlops, rowANNZ: prof.rowANNZ,
-		avgBCol: prof.avgBCol,
-	}
 	for i := 0; i < rows; i++ {
 		m := p.mask.RowNNZ(i)
 		flops := prof.rowFlops[i]
@@ -408,8 +318,6 @@ func (p *Plan[T, S]) rebindRuns() {
 		}
 		if admitted == 0 || flops == 0 {
 			rowFam[i] = famAny
-			cost[i] = 1
-			next.total++
 			continue
 		}
 		ctx := RowCostContext{
@@ -424,11 +332,8 @@ func (p *Plan[T, S]) rebindRuns() {
 			}
 		}
 		rowFam[i] = uint8(best)
-		cost[i] = 1 + int64(bestCost)
-		next.total += cost[i]
 	}
 	p.encodeRuns(rowFam)
-	p.profile = next
 	if !opt.Complement && (p.polyFams.Has(FamHash) || p.polyFams.Has(FamMCA)) {
 		p.maxMaskRow = p.mask.MaxRowNNZ()
 	}
@@ -452,8 +357,6 @@ type PlanDrift struct {
 	Scheme string
 	// Rows is the plan's output row count.
 	Rows int
-	// Schedule is the plan's current resolved scheduling strategy.
-	Schedule string
 	// EwmaImbalance is the smoothed measured imbalance factor of the
 	// current plan (0 until the first post-swap observation).
 	EwmaImbalance float64

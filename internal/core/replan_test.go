@@ -22,32 +22,39 @@ func observeN[T any, S semiring.Semiring[T]](c *PlanCache[T, S], p *Plan[T, S], 
 	}
 }
 
+// heapCoeffs makes every family but Heap look expensive, so a
+// re-selection under them visibly moves rows to Heap.
+func heapCoeffs() CostCoeffs {
+	var co CostCoeffs
+	for f := range co {
+		co[f] = 50
+	}
+	co[FamHeap] = 0.001
+	return co
+}
+
 // TestReplanKHitSwap pins the acceptance path end to end with fake
-// measurements and no sleeps: a plan that measures imbalanced for K
-// consecutive observed hits is re-bound in the background (here:
-// synchronously, via the injected launcher), the cache entry swaps to
-// the new immutable plan, subsequent hits return it, and the swapped
-// plan still computes the same product.
+// measurements and no sleeps: a Hybrid plan that measures imbalanced
+// for K consecutive observed hits is re-bound in the background (here:
+// synchronously, via the injected launcher) under the policy's
+// calibrated coefficients, the cache entry swaps to the new immutable
+// plan, subsequent hits return it, the swapped plan still computes the
+// same product, and the entry is then spent.
 func TestReplanKHitSwap(t *testing.T) {
 	sr := semiring.PlusTimes[float64]{}
-	// Uniform structure + Threads=4 resolves to FixedGrain with a
-	// retained profile — the ladder's first rung re-partitions it.
 	mask, a, b := buildCase(caseSpec{"", 512, 512, 512, 8, 8, 8, 5})
-	opt := Options{Algorithm: AlgoMSA, Threads: 4}
+	opt := Options{Algorithm: AlgoHybrid, Threads: 4}
 
 	c := NewPlanCache[float64](sr, 8, 0)
 	c.SetReplanLauncher(syncLauncher)
-	c.EnableReplan(ReplanPolicy{ImbalanceThreshold: 1.2, ConsecutiveHits: 3})
+	c.EnableReplan(ReplanPolicy{ImbalanceThreshold: 1.2, ConsecutiveHits: 3, Coeffs: heapCoeffs()})
 
 	p0, err := c.GetOrPlan(mask, a, b, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p0.ResolvedSchedule() != SchedFixedGrain {
-		t.Fatalf("precondition: uniform plan resolved %v, want FixedGrain", p0.ResolvedSchedule())
-	}
 	if p0.profile == nil {
-		t.Fatal("precondition: profiled plan retained no profile")
+		t.Fatal("precondition: wide hybrid plan retained no profile")
 	}
 	want, err := p0.ExecuteOn(NewExecutor[float64](sr), a, b)
 	if err != nil {
@@ -68,11 +75,8 @@ func TestReplanKHitSwap(t *testing.T) {
 	if p1 == p0 {
 		t.Fatal("plan not swapped after K over-threshold hits")
 	}
-	if p1.ResolvedSchedule() != SchedCostPartition {
-		t.Errorf("first rung resolved %v, want CostPartition", p1.ResolvedSchedule())
-	}
-	if len(p1.partBounds) < 2 || p1.partBounds[0] != 0 || p1.partBounds[len(p1.partBounds)-1] != mask.Rows {
-		t.Errorf("re-partitioned bounds do not tile rows: %v", p1.partBounds)
+	if p1.opt.CostCoeffs != heapCoeffs() {
+		t.Errorf("re-bound plan carries coeffs %v, want the policy's", p1.opt.CostCoeffs)
 	}
 	got, err := p1.ExecuteOn(NewExecutor[float64](sr), a, b)
 	if err != nil {
@@ -85,8 +89,8 @@ func TestReplanKHitSwap(t *testing.T) {
 	if st.Replans != 1 {
 		t.Errorf("Replans = %d, want 1", st.Replans)
 	}
-	if len(st.Drift) != 1 || st.Drift[0].Replans != 1 || st.Drift[0].Schedule != "CostPartition" {
-		t.Errorf("drift record %+v, want one entry with Replans=1 Schedule=CostPartition", st.Drift)
+	if len(st.Drift) != 1 || st.Drift[0].Replans != 1 {
+		t.Errorf("drift record %+v, want one entry with Replans=1", st.Drift)
 	}
 
 	// Observations against the replaced pointer are dropped: the
@@ -96,34 +100,13 @@ func TestReplanKHitSwap(t *testing.T) {
 		t.Errorf("stale-plan observations leaked into the successor: %+v", st.Drift)
 	}
 
-	// Escalation: slack doubles (4→8→16 partitions per worker), then
-	// the ladder terminates at WorkSteal and stays there.
-	prev := p1
-	for rung, wantSched := range []Schedule{SchedCostPartition, SchedCostPartition, SchedWorkSteal} {
-		observeN(c, prev, 3, 2.0)
-		next, _ := c.GetOrPlan(mask, a, b, opt)
-		if next == prev {
-			t.Fatalf("rung %d: no swap", rung)
-		}
-		if next.ResolvedSchedule() != wantSched {
-			t.Fatalf("rung %d: resolved %v, want %v", rung, next.ResolvedSchedule(), wantSched)
-		}
-		got, err := next.ExecuteOn(NewExecutor[float64](sr), a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sparse.Equal(want, got) {
-			t.Fatalf("rung %d: wrong product", rung)
-		}
-		prev = next
+	// Spent: further pressure on the successor never swaps again.
+	observeN(c, p1, 10, 9.0)
+	if final, _ := c.GetOrPlan(mask, a, b, opt); final != p1 {
+		t.Error("spent entry still swapped")
 	}
-	// Terminal: further pressure never swaps again.
-	observeN(c, prev, 10, 9.0)
-	if final, _ := c.GetOrPlan(mask, a, b, opt); final != prev {
-		t.Error("exhausted ladder still swapped")
-	}
-	if st := c.Stats(); st.Replans != 4 {
-		t.Errorf("Replans = %d, want 4", st.Replans)
+	if st := c.Stats(); st.Replans != 1 {
+		t.Errorf("Replans = %d, want 1", st.Replans)
 	}
 }
 
@@ -134,8 +117,8 @@ func TestReplanBelowThresholdNeverFires(t *testing.T) {
 	mask, a, b := buildCase(caseSpec{"", 256, 256, 256, 8, 8, 8, 6})
 	c := NewPlanCache[float64](sr, 8, 0)
 	c.SetReplanLauncher(syncLauncher)
-	c.EnableReplan(ReplanPolicy{ImbalanceThreshold: 1.5, ConsecutiveHits: 3})
-	opt := Options{Algorithm: AlgoMSA, Threads: 4}
+	c.EnableReplan(ReplanPolicy{ImbalanceThreshold: 1.5, ConsecutiveHits: 3, Coeffs: heapCoeffs()})
+	opt := Options{Algorithm: AlgoHybrid, Threads: 4}
 	p0, err := c.GetOrPlan(mask, a, b, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -155,44 +138,48 @@ func TestReplanBelowThresholdNeverFires(t *testing.T) {
 	}
 }
 
-// TestReplanSerialPlanExempt: a Threads==1 plan has nothing to
-// balance — the ladder reports exhausted instead of churning.
+// TestReplanSerialPlanExempt: only a wide Hybrid plan can be re-bound.
+// A Threads==1 plan has nothing to balance and retains no selector
+// profile; a non-Hybrid plan has no selection to re-run. Both report
+// exhausted instead of churning.
 func TestReplanSerialPlanExempt(t *testing.T) {
 	sr := semiring.PlusTimes[float64]{}
 	mask, a, b := buildCase(caseSpec{"", 512, 512, 512, 8, 8, 8, 7})
 	c := NewPlanCache[float64](sr, 8, 0)
 	c.SetReplanLauncher(syncLauncher)
-	c.EnableReplan(ReplanPolicy{ImbalanceThreshold: 1.2, ConsecutiveHits: 2})
-	opt := Options{Algorithm: AlgoMSA, Threads: 1}
-	p0, err := c.GetOrPlan(mask, a, b, opt)
-	if err != nil {
-		t.Fatal(err)
+	c.EnableReplan(ReplanPolicy{ImbalanceThreshold: 1.2, ConsecutiveHits: 2, Coeffs: heapCoeffs()})
+	for _, opt := range []Options{
+		{Algorithm: AlgoHybrid, Threads: 1},
+		{Algorithm: AlgoMSA, Threads: 4},
+	} {
+		p0, err := c.GetOrPlan(mask, a, b, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p0.profile != nil {
+			t.Errorf("%s/t%d: retained a profile no re-bind can use", opt.SchemeName(), opt.Threads)
+		}
+		observeN(c, p0, 10, 5.0)
+		if p1, _ := c.GetOrPlan(mask, a, b, opt); p1 != p0 {
+			t.Errorf("%s/t%d: plan was re-bound", opt.SchemeName(), opt.Threads)
+		}
 	}
-	observeN(c, p0, 10, 5.0)
-	if p1, _ := c.GetOrPlan(mask, a, b, opt); p1 != p0 {
-		t.Error("serial plan was re-bound")
+	if st := c.Stats(); st.Replans != 0 {
+		t.Errorf("Replans = %d, want 0", st.Replans)
 	}
 }
 
-// TestReplanCoeffsRebind pins the full re-bind rung: a Hybrid plan
-// bound under literal costs, measuring imbalanced, is re-selected
-// with the policy's calibrated coefficients — the run encoding
-// changes, the product does not, and the rung never refires once the
-// plan carries the coefficients.
+// TestReplanCoeffsRebind pins the re-bind itself: a Hybrid plan bound
+// under literal costs, measuring imbalanced, is re-selected with the
+// policy's calibrated coefficients — the run encoding changes, the
+// product does not, and the re-bind never refires once the plan
+// carries the coefficients.
 func TestReplanCoeffsRebind(t *testing.T) {
 	sr := semiring.PlusTimes[float64]{}
 	mask, a, b := buildCase(caseSpec{"", 512, 512, 512, 8, 8, 8, 320})
-	// Explicit CostPartition: starts past the first rung, so the next
-	// escalation for an un-calibrated Hybrid plan is the coeffs rebind.
-	opt := Options{Algorithm: AlgoHybrid, Threads: 4, Schedule: SchedCostPartition}
-
-	// Coefficients that make every family but Heap look expensive:
-	// the re-bound encoding must shift rows toward Heap.
-	coeffs := CostCoeffs{}
-	for f := range coeffs {
-		coeffs[f] = 50
-	}
-	coeffs[FamHeap] = 0.001
+	opt := Options{Algorithm: AlgoHybrid, Threads: 4}
+	// The re-bound encoding must shift rows toward Heap.
+	coeffs := heapCoeffs()
 
 	c := NewPlanCache[float64](sr, 8, 0)
 	c.SetReplanLauncher(syncLauncher)
@@ -231,29 +218,23 @@ func TestReplanCoeffsRebind(t *testing.T) {
 		t.Error("coefficient re-bind changed the product")
 	}
 
-	// Once calibrated, the coeffs rung is spent: the next escalation
-	// is slack doubling, not another re-selection.
-	observeN(c, p1, 2, 3.0)
-	p2, _ := c.GetOrPlan(mask, a, b, opt)
-	if p2 == p1 {
-		t.Fatal("no slack escalation after the coeffs rebind")
-	}
-	if p2.opt.CostCoeffs != coeffs || p2.ResolvedSchedule() != SchedCostPartition {
-		t.Errorf("second rung: coeffs %v sched %v", p2.opt.CostCoeffs, p2.ResolvedSchedule())
-	}
-	if p2.FamilyRows() != rows1 {
-		t.Error("slack escalation re-ran the selector")
+	// Once calibrated, the entry is spent: more pressure never
+	// re-selects again.
+	observeN(c, p1, 4, 3.0)
+	if p2, _ := c.GetOrPlan(mask, a, b, opt); p2 != p1 {
+		t.Error("calibrated plan was re-bound again")
 	}
 }
 
 // TestRebindUnitCoeffsParity is the -calibrate=off criterion at the
 // core level: an all-ones coefficient array multiplies every model by
-// exactly 1.0, so the binding, the cost vector, and the partition
-// bounds must be bit-for-bit identical to the uncalibrated plan's.
+// exactly 1.0, so the binding must be bit-for-bit identical to the
+// uncalibrated plan's — whether selected at plan time or re-selected
+// by a re-bind.
 func TestRebindUnitCoeffsParity(t *testing.T) {
 	sr := semiring.PlusTimes[float64]{}
 	mask, a, b := buildCase(caseSpec{"", 512, 512, 512, 8, 8, 8, 321})
-	base := Options{Algorithm: AlgoHybrid, Threads: 4, Schedule: SchedCostPartition}
+	base := Options{Algorithm: AlgoHybrid, Threads: 4}
 	p0, err := NewPlan(sr, mask, a, b, base, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -269,79 +250,9 @@ func TestRebindUnitCoeffsParity(t *testing.T) {
 	if fmt.Sprint(p0.runEnds) != fmt.Sprint(p1.runEnds) || fmt.Sprint(p0.runFam) != fmt.Sprint(p1.runFam) {
 		t.Error("unit coefficients changed the run encoding")
 	}
-	if fmt.Sprint(p0.partBounds) != fmt.Sprint(p1.partBounds) {
-		t.Errorf("unit coefficients changed partition bounds: %v vs %v", p0.partBounds, p1.partBounds)
-	}
-	if p0.profile != nil && p1.profile != nil {
-		if fmt.Sprint(p0.profile.rowCost) != fmt.Sprint(p1.profile.rowCost) {
-			t.Error("unit coefficients changed the cost vector")
-		}
-	}
-}
-
-// TestWarmThenWide pins the satellite fix: a Threads==1 plan over a
-// large structure retains its cost profile (pre-fix it skipped the
-// profile entirely), so re-binding it to more threads lays out cost
-// partitions from the retained vector — without ever touching A or B
-// again — and the wide plan computes the same product. Small serial
-// plans still skip the profile (pure planning overhead).
-func TestWarmThenWide(t *testing.T) {
-	sr := semiring.PlusTimes[float64]{}
-	mask, a, b := skewedCase(512, 512, 4)
-
-	serial, err := NewPlan(sr, mask, a, b, Options{Algorithm: AlgoMSA, Threads: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.ResolvedSchedule() != SchedFixedGrain {
-		t.Fatalf("serial plan resolved %v, want FixedGrain", serial.ResolvedSchedule())
-	}
-	if serial.profile == nil || serial.profile.total == 0 {
-		t.Fatal("large serial plan retained no cost profile (warm-then-wide regression)")
-	}
-	want, err := serial.Execute(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	wide := serial.rebind(rebindSpec{sched: SchedCostPartition, slack: costPartsPerWorker, threads: 4})
-	if wide == nil {
-		t.Fatal("rebind returned nil despite a retained profile")
-	}
-	if wide.ResolvedSchedule() != SchedCostPartition {
-		t.Fatalf("wide plan resolved %v, want CostPartition", wide.ResolvedSchedule())
-	}
-	if wide.opt.Threads != 4 {
-		t.Fatalf("wide plan threads = %d, want 4", wide.opt.Threads)
-	}
-	if n := len(wide.partBounds) - 1; n < 2 || n > 4*costPartsPerWorker {
-		t.Fatalf("wide plan laid out %d partitions, want in (1, %d]", n, 4*costPartsPerWorker)
-	}
-	got, err := wide.ExecuteOn(NewExecutor[float64](sr), a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sparse.Equal(want, got) {
-		t.Error("warm-then-wide plan computes a different product")
-	}
-
-	// Hybrid serial plans retain the full selector profile too.
-	hp, err := NewPlan(sr, mask, a, b, Options{Algorithm: AlgoHybrid, Threads: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hp.profile == nil || hp.profile.rowFlops == nil {
-		t.Fatal("large serial hybrid plan retained no selector profile")
-	}
-
-	// Small structures keep the old economy: no profile.
-	smask, sa, sb := buildCase(caseSpec{"", 64, 64, 64, 8, 8, 8, 5})
-	small, err := NewPlan(sr, smask, sa, sb, Options{Algorithm: AlgoMSA, Threads: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.profile != nil {
-		t.Error("small serial plan measured a profile it can never use")
+	rebound := p0.rebind(unit.CostCoeffs)
+	if fmt.Sprint(p0.runEnds) != fmt.Sprint(rebound.runEnds) || fmt.Sprint(p0.runFam) != fmt.Sprint(rebound.runFam) {
+		t.Error("re-binding under unit coefficients changed the run encoding")
 	}
 }
 
@@ -352,8 +263,8 @@ func TestReplanSwapKeepsAccounting(t *testing.T) {
 	mask, a, b := buildCase(caseSpec{"", 512, 512, 512, 8, 8, 8, 5})
 	c := NewPlanCache[float64](sr, 8, 0)
 	c.SetReplanLauncher(syncLauncher)
-	c.EnableReplan(ReplanPolicy{ImbalanceThreshold: 1.2, ConsecutiveHits: 2})
-	opt := Options{Algorithm: AlgoMSA, Threads: 4}
+	c.EnableReplan(ReplanPolicy{ImbalanceThreshold: 1.2, ConsecutiveHits: 2, Coeffs: heapCoeffs()})
+	opt := Options{Algorithm: AlgoHybrid, Threads: 4}
 	p0, err := c.GetOrPlan(mask, a, b, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -370,13 +281,13 @@ func TestReplanSwapKeepsAccounting(t *testing.T) {
 
 // TestReplanConcurrentExecutions hammers a cache-shared plan with
 // concurrent executions while background re-binds (real goroutines,
-// default launcher) repeatedly swap the entry underneath them: every
+// default launcher) swap the entry underneath them: every
 // execution must see a consistent plan — old or new, never torn — and
 // produce the exact product. Run with -race.
 func TestReplanConcurrentExecutions(t *testing.T) {
 	sr := semiring.PlusTimes[float64]{}
 	mask, a, b := buildCase(caseSpec{"", 512, 512, 512, 8, 8, 8, 5})
-	opt := Options{Algorithm: AlgoHybrid, Threads: 4, Schedule: SchedCostPartition}
+	opt := Options{Algorithm: AlgoHybrid, Threads: 4}
 	coeffs := CostCoeffs{10, 1, 1, 0.01, 1, 1}
 
 	c := NewPlanCache[float64](sr, 8, 0)
@@ -415,7 +326,7 @@ func TestReplanConcurrentExecutions(t *testing.T) {
 					errs <- fmt.Errorf("iteration %d: wrong product under concurrent re-bind", i)
 					return
 				}
-				// Feed pressure so swaps keep firing mid-traffic.
+				// Feed pressure so the swap fires mid-traffic.
 				c.ObserveExecution(p, 5.0, time.Millisecond)
 			}
 		}()

@@ -11,8 +11,8 @@ import (
 
 // skewedCase builds a masked product with a planted hub cluster: the
 // first hubRows rows of A are dense (cost ~cols each) while the rest
-// carry a couple of entries — the adversarial shape for a fixed row
-// grain, which lumps all the hubs into one block.
+// carry a couple of entries — the adversarial shape for a static row
+// split, which lumps all the hubs into the first worker's share.
 func skewedCase(rows, cols, hubRows int) (*sparse.Pattern, *sparse.CSR[float64], *sparse.CSR[float64]) {
 	rowsSpec := map[int]map[int]float64{}
 	for i := 0; i < rows; i++ {
@@ -34,106 +34,24 @@ func skewedCase(rows, cols, hubRows int) (*sparse.Pattern, *sparse.CSR[float64],
 	return a.PatternView(), a, a
 }
 
-// TestScheduleAutoResolution pins the SchedAuto policy: a planted hub
-// cluster resolves to cost partitions, a uniform product stays on
-// fixed grain, and explicit choices are always honored.
-func TestScheduleAutoResolution(t *testing.T) {
+// checkScheduleParity runs every scheme × {1P, 2P} × threads 1–4 over
+// one masked product (complemented when asked, for the schemes that
+// support it) and compares each result with the dense oracle: the row
+// scheduler only changes who computes which row, never the product.
+// A small grain multiplies the blocks, and with them the steals.
+func checkScheduleParity(t *testing.T, mask *sparse.Pattern, a, b *sparse.CSR[float64], complement bool) {
+	t.Helper()
 	sr := semiring.PlusTimes[float64]{}
-
-	mask, a, b := skewedCase(512, 512, 4)
-	p, err := NewPlan(sr, mask, a, b, Options{Algorithm: AlgoMSA, Threads: 4}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.ResolvedSchedule(); got != SchedCostPartition {
-		t.Errorf("skewed auto: resolved %v (skew %.1f), want CostPartition", got, p.CostSkew())
-	}
-	if p.CostSkew() < autoSkewFactor {
-		t.Errorf("skewed case measured skew %.2f, expected ≥ %d", p.CostSkew(), autoSkewFactor)
-	}
-	// Partition bounds must tile [0, rows] monotonically.
-	bounds := p.partBounds
-	if len(bounds) < 2 || bounds[0] != 0 || bounds[len(bounds)-1] != mask.Rows {
-		t.Fatalf("bounds do not tile rows: %v", bounds)
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] < bounds[i-1] {
-			t.Fatalf("bounds not monotone: %v", bounds)
+	want := oracle(mask, a, b, complement)
+	for _, algo := range Algorithms() {
+		if complement && !SupportsComplement(algo) {
+			continue
 		}
-	}
-	if len(bounds)-1 > 4*costPartsPerWorker {
-		t.Errorf("%d partitions exceed threads×slack = %d", len(bounds)-1, 4*costPartsPerWorker)
-	}
-
-	um, ua, ub := buildCase(caseSpec{"", 512, 512, 512, 8, 8, 8, 5})
-	p, err = NewPlan(sr, um, ua, ub, Options{Algorithm: AlgoMSA, Threads: 4}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.ResolvedSchedule(); got != SchedFixedGrain {
-		t.Errorf("uniform auto: resolved %v (skew %.1f), want FixedGrain", got, p.CostSkew())
-	}
-
-	for _, mode := range []Schedule{SchedFixedGrain, SchedCostPartition, SchedWorkSteal} {
-		p, err := NewPlan(sr, mask, a, b, Options{Algorithm: AlgoMSA, Threads: 4, Schedule: mode}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.ResolvedSchedule() != mode {
-			t.Errorf("explicit %v: resolved %v", mode, p.ResolvedSchedule())
-		}
-	}
-}
-
-// TestSchedulePartitionBalance checks the equal-cost property: under
-// the planted hub cluster no partition holds more than a modest
-// multiple of the ideal cost share (a fixed 64-row grain would put all
-// four hubs — nearly all the flops — into one block).
-func TestSchedulePartitionBalance(t *testing.T) {
-	sr := semiring.PlusTimes[float64]{}
-	mask, a, b := skewedCase(512, 512, 4)
-	p, err := NewPlan(sr, mask, a, b, Options{Algorithm: AlgoMSA, Threads: 4, Schedule: SchedCostPartition}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cost := p.rowCosts(a, b)
-	var total int64
-	for _, c := range cost {
-		total += c
-	}
-	nparts := len(p.partBounds) - 1
-	ideal := float64(total) / float64(nparts)
-	var maxRow int64
-	for _, c := range cost {
-		if c > maxRow {
-			maxRow = c
-		}
-	}
-	for j := 0; j < nparts; j++ {
-		var part int64
-		for i := p.partBounds[j]; i < p.partBounds[j+1]; i++ {
-			part += cost[i]
-		}
-		// A partition may exceed the ideal share by at most one row
-		// (rows are never split).
-		if float64(part) > ideal+float64(maxRow) {
-			t.Errorf("partition %d cost %d exceeds ideal %.0f + max row %d", j, part, ideal, maxRow)
-		}
-	}
-}
-
-// TestScheduleParity asserts every scheduling strategy computes the
-// same product: the scheduler only changes who computes which row.
-func TestScheduleParity(t *testing.T) {
-	sr := semiring.PlusTimes[float64]{}
-	mask, a, b := skewedCase(300, 300, 3)
-	want := oracle(mask, a, b, false)
-	for _, algo := range []Algorithm{AlgoMSA, AlgoHash, AlgoInner, AlgoHybrid} {
 		for _, ph := range []Phases{OnePhase, TwoPhase} {
-			for _, mode := range []Schedule{SchedAuto, SchedFixedGrain, SchedCostPartition, SchedWorkSteal} {
-				for _, threads := range []int{1, 3} {
-					opt := Options{Algorithm: algo, Phases: ph, Schedule: mode, Threads: threads}
-					name := fmt.Sprintf("%s/%v/t%d", opt.SchemeName(), mode, threads)
+			for threads := 1; threads <= 4; threads++ {
+				for _, grain := range []int{0, 4} {
+					opt := Options{Algorithm: algo, Phases: ph, Complement: complement, Threads: threads, Grain: grain}
+					name := fmt.Sprintf("%s/complement=%v/t%d/g%d", opt.SchemeName(), complement, threads, grain)
 					got, err := MaskedSpGEMM(sr, mask, a, b, opt)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
@@ -147,21 +65,21 @@ func TestScheduleParity(t *testing.T) {
 	}
 }
 
-// TestScheduleParityComplement runs the complemented path through the
-// cost-partitioned and work-stealing schedulers.
-func TestScheduleParityComplement(t *testing.T) {
-	sr := semiring.PlusTimes[float64]{}
-	mask, a, b := buildCase(caseSpec{"", 120, 100, 110, 5, 5, 12, 17})
-	want := oracle(mask, a, b, true)
-	for _, mode := range []Schedule{SchedCostPartition, SchedWorkSteal} {
-		got, err := MaskedSpGEMM(sr, mask, a, b, Options{Algorithm: AlgoMSA, Complement: true, Schedule: mode, Threads: 2})
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		if d := sparse.Diff(want, got, sparse.FloatEq(1e-12)); d != "" {
-			t.Fatalf("%v: %s", mode, d)
-		}
+// TestScheduleParity checks every execution path against the oracle on
+// the planted hub cluster, with a plain and a complemented mask.
+func TestScheduleParity(t *testing.T) {
+	mask, a, b := skewedCase(300, 300, 3)
+	for _, complement := range []bool{false, true} {
+		checkScheduleParity(t, mask, a, b, complement)
 	}
+}
+
+// TestScheduleParityComplement runs the complemented path on a
+// rectangular random product, where the §5.2 output bounds differ
+// from the mask's own layout.
+func TestScheduleParityComplement(t *testing.T) {
+	mask, a, b := buildCase(caseSpec{"", 120, 100, 110, 5, 5, 12, 17})
+	checkScheduleParity(t, mask, a, b, true)
 }
 
 // TestSchedStatsCollected checks the telemetry path end to end:
@@ -185,13 +103,23 @@ func TestSchedStatsCollected(t *testing.T) {
 		t.Fatalf("stats sized for %d workers, want 2", len(st.Workers))
 	}
 
-	// Two-phase doubles the row passes; the count must accumulate
-	// within one execution but reset across executions.
-	first := st.Claimed()
-	if _, err := p.Execute(a, b); err != nil {
+	// The count must accumulate over one execution's passes but reset
+	// across executions. Work stealing splits ranges at run-time
+	// dependent points, so parallel block counts vary between
+	// executions; a grain covering every row takes the serial path,
+	// whose count is deterministic.
+	whole, err := NewPlan(sr, mask, a, b, Options{Algorithm: AlgoMSA, Threads: 2, Grain: mask.Rows, CollectSchedStats: true}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.SchedStats().Claimed(); got != first {
+	if _, err := whole.Execute(a, b); err != nil {
+		t.Fatal(err)
+	}
+	first := whole.SchedStats().Claimed()
+	if _, err := whole.Execute(a, b); err != nil {
+		t.Fatal(err)
+	}
+	if got := whole.SchedStats().Claimed(); got != first {
 		t.Errorf("stats leaked across executions: %d then %d", first, got)
 	}
 
@@ -204,18 +132,6 @@ func TestSchedStatsCollected(t *testing.T) {
 	}
 	if got := off.SchedStats().Claimed(); got != 0 {
 		t.Errorf("stats recorded without the option: %d blocks", got)
-	}
-}
-
-// TestScheduleString covers the Schedule names used in bench output.
-func TestScheduleString(t *testing.T) {
-	for want, s := range map[string]Schedule{
-		"Auto": SchedAuto, "FixedGrain": SchedFixedGrain,
-		"CostPartition": SchedCostPartition, "WorkSteal": SchedWorkSteal,
-	} {
-		if s.String() != want {
-			t.Errorf("%v.String() = %q, want %q", uint8(s), s.String(), want)
-		}
 	}
 }
 

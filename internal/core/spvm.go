@@ -13,22 +13,18 @@ import (
 // graph traversals (§4's push/pull motivation); internal/graph's
 // direction-optimized BFS is built on it.
 
-// MaskedSpVM computes v = m ⊙ (u⊺B) (complement: v = ¬m ⊙ (u⊺B))
+// MaskedSpVMWith computes v = m ⊙ (u⊺B) (complement: v = ¬m ⊙ (u⊺B))
 // where mask holds the admitted (sorted) positions. Supported
 // algorithms: AlgoMSA, AlgoMSAEpoch, AlgoHash, AlgoMCA, AlgoHeap,
 // AlgoHeapDot, and AlgoHybrid (treated as MSA — a single row has no
 // per-row scheme choice to make) for plain masks, and AlgoMSA/
-// AlgoMSAEpoch/AlgoHash/AlgoHeap/AlgoHeapDot for complemented masks. The call is serial — a single
-// row has no row-level parallelism to exploit (§3: the paper
-// deliberately does not parallelize single-row formation).
-func MaskedSpVM[T any, S semiring.Semiring[T]](sr S, mask []int32, u *sparse.Vector[T], b *sparse.CSR[T], opt Options) (*sparse.Vector[T], error) {
-	return MaskedSpVMWith(NewExecutor[T](sr), mask, u, b, opt)
-}
-
-// MaskedSpVMWith is MaskedSpVM drawing its accumulator and output
-// scratch from exec's worker-0 workspace, so a traversal loop (one
-// masked SpVM per BFS level) allocates only the exact-size result
-// vectors after warm-up. exec must not be used concurrently.
+// AlgoMSAEpoch/AlgoHash/AlgoHeap/AlgoHeapDot for complemented masks.
+// The call is serial — a single row has no row-level parallelism to
+// exploit (§3: the paper deliberately does not parallelize single-row
+// formation). Accumulator and output scratch come from exec's
+// worker-0 workspace, so a traversal loop (one masked SpVM per BFS
+// level) allocates only the exact-size result vectors after warm-up.
+// exec must not be used concurrently.
 func MaskedSpVMWith[T any, S semiring.Semiring[T]](exec *Executor[T, S], mask []int32, u *sparse.Vector[T], b *sparse.CSR[T], opt Options) (*sparse.Vector[T], error) {
 	if u.N != b.Rows {
 		return nil, fmt.Errorf("core: vector has dimension %d but B has %d rows", u.N, b.Rows)

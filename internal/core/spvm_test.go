@@ -45,7 +45,7 @@ func TestMaskedSpVMAgainstOracle(t *testing.T) {
 	plainAlgos := []Algorithm{AlgoMSA, AlgoHash, AlgoMCA, AlgoHeap, AlgoHeapDot}
 	want := spvmOracle(mask, u, b, false)
 	for _, algo := range plainAlgos {
-		got, err := MaskedSpVM(sr, mask, u, b, Options{Algorithm: algo})
+		got, err := MaskedSpVMWith(NewExecutor[float64](sr), mask, u, b, Options{Algorithm: algo})
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
@@ -57,7 +57,7 @@ func TestMaskedSpVMAgainstOracle(t *testing.T) {
 	compAlgos := []Algorithm{AlgoMSA, AlgoHash, AlgoHeap}
 	wantC := spvmOracle(mask, u, b, true)
 	for _, algo := range compAlgos {
-		got, err := MaskedSpVM(sr, mask, u, b, Options{Algorithm: algo, Complement: true})
+		got, err := MaskedSpVMWith(NewExecutor[float64](sr), mask, u, b, Options{Algorithm: algo, Complement: true})
 		if err != nil {
 			t.Fatalf("%v complement: %v", algo, err)
 		}
@@ -71,14 +71,14 @@ func TestMaskedSpVMErrors(t *testing.T) {
 	sr := semiring.PlusTimes[float64]{}
 	b := gen.Random(10, 10, 3, 1)
 	u := sparse.NewVector[float64](11) // wrong dimension
-	if _, err := MaskedSpVM(sr, nil, u, b, Options{}); err == nil {
+	if _, err := MaskedSpVMWith(NewExecutor[float64](sr), nil, u, b, Options{}); err == nil {
 		t.Error("want dimension error")
 	}
 	u2 := sparse.NewVector[float64](10)
-	if _, err := MaskedSpVM(sr, nil, u2, b, Options{Algorithm: AlgoInner}); err == nil {
+	if _, err := MaskedSpVMWith(NewExecutor[float64](sr), nil, u2, b, Options{Algorithm: AlgoInner}); err == nil {
 		t.Error("want unsupported-algorithm error for Inner")
 	}
-	if _, err := MaskedSpVM(sr, nil, u2, b, Options{Algorithm: AlgoMCA, Complement: true}); err == nil {
+	if _, err := MaskedSpVMWith(NewExecutor[float64](sr), nil, u2, b, Options{Algorithm: AlgoMCA, Complement: true}); err == nil {
 		t.Error("want unsupported-algorithm error for complemented MCA")
 	}
 }
@@ -87,14 +87,14 @@ func TestMaskedSpVMEmpty(t *testing.T) {
 	sr := semiring.PlusTimes[float64]{}
 	b := gen.Random(10, 10, 3, 2)
 	u := sparse.NewVector[float64](10)
-	got, err := MaskedSpVM(sr, []int32{0, 5}, u, b, Options{Algorithm: AlgoMSA})
+	got, err := MaskedSpVMWith(NewExecutor[float64](sr), []int32{0, 5}, u, b, Options{Algorithm: AlgoMSA})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.NNZ() != 0 {
 		t.Error("empty vector times matrix must be empty")
 	}
-	got, err = MaskedSpVM(sr, nil, sparse.RowVector(gen.Random(1, 10, 5, 3), 0), b, Options{Algorithm: AlgoMSA})
+	got, err = MaskedSpVMWith(NewExecutor[float64](sr), nil, sparse.RowVector(gen.Random(1, 10, 5, 3), 0), b, Options{Algorithm: AlgoMSA})
 	if err != nil {
 		t.Fatal(err)
 	}

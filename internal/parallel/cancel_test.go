@@ -6,23 +6,17 @@ import (
 	"testing"
 )
 
-// schedulers enumerates the three scheduling functions behind one
-// uniform signature so the cancellation and panic contracts are pinned
-// on all of them.
+// schedulers enumerates the entry points of the one scheduling loop
+// behind one uniform signature so the cancellation and panic contracts
+// are pinned on each: ForEachBlockStats itself, and the sliced path it
+// takes for index spaces too long for one work-stealing pass (here
+// with a small slice so every call crosses slice boundaries).
 func schedulers() map[string]func(n, threads, grain int, stats *SchedStats, cancel *CancelToken, fn func(lo, hi, tid int)) {
 	return map[string]func(n, threads, grain int, stats *SchedStats, cancel *CancelToken, fn func(lo, hi, tid int)){
 		"block": ForEachBlockStats,
-		"partition": func(n, threads, grain int, stats *SchedStats, cancel *CancelToken, fn func(lo, hi, tid int)) {
-			bounds := make([]int, 0, n/grain+2)
-			for lo := 0; lo <= n; lo += grain {
-				bounds = append(bounds, lo)
-			}
-			if bounds[len(bounds)-1] != n {
-				bounds = append(bounds, n)
-			}
-			ForEachPartition(bounds, threads, stats, cancel, fn)
+		"sliced": func(n, threads, grain int, stats *SchedStats, cancel *CancelToken, fn func(lo, hi, tid int)) {
+			forEachSliced(n, 1000, Threads(threads), grain, stats, cancel, fn)
 		},
-		"chunked": ForEachChunked,
 	}
 }
 

@@ -4,9 +4,11 @@
 //
 // The paper parallelizes strictly across rows — "our algorithms do not
 // parallelize the formation of individual rows as ... there is plenty of
-// coarse-grained parallelism across rows" (§3). Dynamic chunk scheduling
-// addresses the load imbalance challenge (§2.2): workers claim fixed-size
-// blocks of rows from an atomic counter, so a few heavy rows cannot
+// coarse-grained parallelism across rows" (§3). Dynamic scheduling
+// addresses the load imbalance challenge (§2.2): every parallel loop here
+// runs on one work-stealing scheduler (ForEachBlockStats), in which each
+// worker starts on an equal share of the rows and idle workers steal
+// half of a loaded worker's remainder, so a few heavy rows cannot
 // serialize the computation.
 package parallel
 
@@ -16,7 +18,7 @@ import (
 
 // DefaultGrain is the default number of rows claimed per scheduling
 // step. Small enough to balance skewed degree distributions (R-MAT), big
-// enough to amortize the atomic fetch-add.
+// enough to amortize the atomic claim.
 const DefaultGrain = 64
 
 // Threads normalizes a requested thread count: values < 1 mean
@@ -33,9 +35,8 @@ func Threads(requested int) int {
 // goroutines. fn receives the block bounds and the worker id in
 // [0, threads), which kernels use to index per-thread scratch state.
 // With threads == 1 everything runs on the calling goroutine, making
-// single-threaded profiles clean and deterministic. For telemetry use
-// ForEachBlockStats; for skew-absorbing alternatives see
-// ForEachPartition and ForEachChunked (sched.go).
+// single-threaded profiles clean and deterministic. For telemetry and
+// cancellation use ForEachBlockStats (sched.go).
 func ForEachBlock(n, threads, grain int, fn func(lo, hi, tid int)) {
 	ForEachBlockStats(n, threads, grain, nil, nil, fn)
 }

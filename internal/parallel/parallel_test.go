@@ -9,7 +9,7 @@ import (
 
 func TestForEachBlockCoversAll(t *testing.T) {
 	f := func(nRaw uint16, threadsRaw, grainRaw uint8) bool {
-		n := int(nRaw % 2000)
+		n := int(nRaw % 3000)
 		threads := int(threadsRaw%8) + 1
 		grain := int(grainRaw%100) + 1
 		hits := make([]int32, n)

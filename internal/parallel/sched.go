@@ -6,31 +6,21 @@ import (
 	"time"
 )
 
-// This file grows the fixed-grain block scheduler of parallel.go into a
-// small scheduling subsystem (DESIGN.md §9):
-//
-//   - ForEachBlockStats: the PR-1 fixed-grain scheduler, now with
-//     opt-in per-worker telemetry.
-//   - ForEachPartition: variable-width partitions precomputed by the
-//     caller (typically equal-cost row partitions from a plan-time
-//     flops profile), claimed dynamically.
-//   - ForEachChunked: per-worker deques with back-half stealing — the
-//     skew-absorbing fallback for callers without a cost profile.
-//
-// All three report into an optional *SchedStats so load imbalance is
-// measurable instead of guessed.
+// This file holds the package's one row scheduler (DESIGN.md §9):
+// ForEachBlockStats, a work-stealing loop over per-worker ranges with
+// opt-in per-worker telemetry. It reports into an optional *SchedStats
+// so load imbalance is measurable instead of guessed.
 
 // WorkerStats is one worker's share of a scheduled parallel pass.
 type WorkerStats struct {
 	// Busy is the time the worker spent inside the caller's function
 	// (claim/steal overhead and idle spinning excluded).
 	Busy time.Duration
-	// Claimed counts the blocks the worker executed, regardless of how
-	// it obtained them (shared counter, partition queue, own deque, or
-	// a previously stolen range).
+	// Claimed counts the blocks the worker executed, regardless of
+	// whether they came from its own seed range or a stolen one.
 	Claimed int
-	// Stolen counts successful steal events (ForEachChunked only): each
-	// event transfers the back half of a victim's remaining range.
+	// Stolen counts successful steal events: each event transfers the
+	// back half of a victim's remaining range.
 	Stolen int
 }
 
@@ -153,14 +143,21 @@ func (s *SchedSummary) Record(st SchedStats) {
 }
 
 // ForEachBlockStats is ForEachBlock with optional telemetry (when stats
-// is non-nil, each worker's busy time and claimed-block count are
-// recorded, costing two clock reads per block) and optional cooperative
-// cancellation: when cancel is non-nil and becomes latched, workers
-// stop claiming new blocks — a canceled pass wastes at most one
+// is non-nil, each worker's busy time, claimed-block count and steal
+// count are recorded, costing two clock reads per block) and optional
+// cooperative cancellation: when cancel is non-nil and becomes latched,
+// workers stop claiming new blocks — a canceled pass wastes at most one
 // in-flight block per worker. A worker panic is captured, latches the
 // (possibly internal) cancel token so siblings quiesce, and is
 // re-raised on the calling goroutine as a *PanicError after all
 // workers park; on the serial path panics propagate unchanged.
+//
+// With more than one worker the pass is work-stealing: each worker
+// starts with an equal contiguous range of indices, pops grain-sized
+// blocks from its front, and — when dry — steals the back half of the
+// largest remaining victim range. Equal seeds keep initial locality
+// (each worker owns a contiguous span) and need no cost profile;
+// stealing absorbs the skew no fixed split can predict.
 func ForEachBlockStats(n, threads, grain int, stats *SchedStats, cancel *CancelToken, fn func(lo, hi, tid int)) {
 	threads = Threads(threads)
 	if grain < 1 {
@@ -176,56 +173,10 @@ func ForEachBlockStats(n, threads, grain int, stats *SchedStats, cancel *CancelT
 		runSerialBlocks(n, grain, stats, cancel, fn)
 		return
 	}
-	// The parallel path lives in its own function so its escaping
-	// coordination state (counter, trap, wait group) is never
+	// The parallel path lives in its own functions so its escaping
+	// coordination state (ranges, trap, wait group) is never
 	// heap-allocated on the serial fast path above.
-	forEachBlockParallel(n, threads, grain, stats, cancel, fn)
-}
-
-// forEachBlockParallel is ForEachBlockStats' multi-worker path.
-func forEachBlockParallel(n, threads, grain int, stats *SchedStats, cancel *CancelToken, fn func(lo, hi, tid int)) {
-	if cancel == nil {
-		cancel = new(CancelToken)
-	}
-	var trap panicTrap
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(threads)
-	for t := 0; t < threads; t++ {
-		go func(tid int) {
-			defer func() {
-				if r := recover(); r != nil {
-					trap.capture(tid, cancel, r)
-				}
-				wg.Done()
-			}()
-			var busy time.Duration
-			claimed := 0
-			for !cancel.Canceled() {
-				lo := int(next.Add(int64(grain))) - grain
-				if lo >= n {
-					break
-				}
-				hi := lo + grain
-				if hi > n {
-					hi = n
-				}
-				claimed++
-				if stats != nil {
-					t0 := time.Now()
-					fn(lo, hi, tid)
-					busy += time.Since(t0)
-				} else {
-					fn(lo, hi, tid)
-				}
-			}
-			if stats != nil {
-				stats.record(tid, busy, claimed, 0)
-			}
-		}(t)
-	}
-	wg.Wait()
-	trap.rethrow()
+	forEachSliced(n, maxStealRange, threads, grain, stats, cancel, fn)
 }
 
 // runSerialBlocks is the shared single-worker path: blocks of grain
@@ -254,96 +205,6 @@ func runSerialBlocks(n, grain int, stats *SchedStats, cancel *CancelToken, fn fu
 	if stats != nil {
 		stats.record(0, busy, claimed, 0)
 	}
-}
-
-// ForEachPartition runs fn over the variable-width partitions described
-// by bounds: partition j covers [bounds[j], bounds[j+1]), and bounds
-// must be non-decreasing. Partitions are claimed dynamically from an
-// atomic counter, so callers may provide more partitions than workers
-// (scheduling slack) and empty partitions are skipped without a call.
-// This is the executor for plan-time equal-cost partitions: the caller
-// did the load balancing when it laid out bounds; the scheduler only
-// hands partitions out. cancel and panic containment follow the
-// ForEachBlockStats contract (cancellation polled per partition claim).
-func ForEachPartition(bounds []int, threads int, stats *SchedStats, cancel *CancelToken, fn func(lo, hi, tid int)) {
-	nparts := len(bounds) - 1
-	if nparts <= 0 {
-		return
-	}
-	threads = Threads(threads)
-	if stats != nil {
-		stats.ensure(threads)
-	}
-	if threads == 1 || nparts == 1 {
-		var busy time.Duration
-		claimed := 0
-		for j := 0; j < nparts && !cancel.Canceled(); j++ {
-			lo, hi := bounds[j], bounds[j+1]
-			if lo >= hi {
-				continue
-			}
-			claimed++
-			if stats != nil {
-				t0 := time.Now()
-				fn(lo, hi, 0)
-				busy += time.Since(t0)
-			} else {
-				fn(lo, hi, 0)
-			}
-		}
-		if stats != nil {
-			stats.record(0, busy, claimed, 0)
-		}
-		return
-	}
-	forEachPartitionParallel(bounds, nparts, threads, stats, cancel, fn)
-}
-
-// forEachPartitionParallel is ForEachPartition's multi-worker path,
-// split out so the serial path stays allocation-free.
-func forEachPartitionParallel(bounds []int, nparts, threads int, stats *SchedStats, cancel *CancelToken, fn func(lo, hi, tid int)) {
-	if cancel == nil {
-		cancel = new(CancelToken)
-	}
-	var trap panicTrap
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(threads)
-	for t := 0; t < threads; t++ {
-		go func(tid int) {
-			defer func() {
-				if r := recover(); r != nil {
-					trap.capture(tid, cancel, r)
-				}
-				wg.Done()
-			}()
-			var busy time.Duration
-			claimed := 0
-			for !cancel.Canceled() {
-				j := int(next.Add(1)) - 1
-				if j >= nparts {
-					break
-				}
-				lo, hi := bounds[j], bounds[j+1]
-				if lo >= hi {
-					continue
-				}
-				claimed++
-				if stats != nil {
-					t0 := time.Now()
-					fn(lo, hi, tid)
-					busy += time.Since(t0)
-				} else {
-					fn(lo, hi, tid)
-				}
-			}
-			if stats != nil {
-				stats.record(tid, busy, claimed, 0)
-			}
-		}(t)
-	}
-	wg.Wait()
-	trap.rethrow()
 }
 
 // wsRange is one worker's remaining index range packed into a single
@@ -417,44 +278,28 @@ func stealInto(ranges []wsRange, tid int) bool {
 	}
 }
 
-// ForEachChunked runs fn over [0, n) with work stealing: each worker
-// starts with an equal contiguous range, pops grain-sized blocks from
-// its front, and — when dry — steals the back half of the largest
-// remaining victim range. Compared to ForEachBlockStats this keeps
-// initial locality (each worker owns a contiguous span) while still
-// absorbing cost skew no fixed grain can predict; compared to
-// ForEachPartition it needs no cost profile. n must fit in 32 bits
-// (larger n falls back to the fixed-grain scheduler). cancel and panic
-// containment follow the ForEachBlockStats contract (cancellation
-// polled per pop/steal).
-func ForEachChunked(n, threads, grain int, stats *SchedStats, cancel *CancelToken, fn func(lo, hi, tid int)) {
-	threads = Threads(threads)
-	if grain < 1 {
-		grain = DefaultGrain
+// maxStealRange is the longest index range one work-stealing pass
+// handles: packRange stores each bound in 32 bits.
+const maxStealRange = 1<<31 - 1
+
+// forEachSliced runs [0, n) as consecutive work-stealing passes of at
+// most slice indices each, so index spaces too long for packRange stay
+// on the one scheduler. A panic re-raised by one slice ends the loop; a
+// latched cancel token makes every later slice return at once.
+func forEachSliced(n, slice, threads, grain int, stats *SchedStats, cancel *CancelToken, fn func(lo, hi, tid int)) {
+	for base := 0; base < n; base += slice {
+		forEachStealing(base, min(n, base+slice), threads, grain, stats, cancel, fn)
 	}
-	if n <= 0 {
-		return
-	}
-	if n >= 1<<31 {
-		ForEachBlockStats(n, threads, grain, stats, cancel, fn)
-		return
-	}
-	if stats != nil {
-		stats.ensure(threads)
-	}
-	if threads == 1 || n <= grain {
-		runSerialBlocks(n, grain, stats, cancel, fn)
-		return
-	}
-	forEachChunkedParallel(n, threads, grain, stats, cancel, fn)
 }
 
-// forEachChunkedParallel is ForEachChunked's multi-worker path, split
-// out so the serial path stays allocation-free.
-func forEachChunkedParallel(n, threads, grain int, stats *SchedStats, cancel *CancelToken, fn func(lo, hi, tid int)) {
+// forEachStealing is ForEachBlockStats' multi-worker path over
+// [base, end), end-base ≤ maxStealRange. Worker ranges are kept
+// relative to base and shifted back when handed to fn.
+func forEachStealing(base, end, threads, grain int, stats *SchedStats, cancel *CancelToken, fn func(lo, hi, tid int)) {
 	if cancel == nil {
 		cancel = new(CancelToken)
 	}
+	n := end - base
 	var trap panicTrap
 	ranges := make([]wsRange, threads)
 	for t := 0; t < threads; t++ {
@@ -485,10 +330,10 @@ func forEachChunkedParallel(n, threads, grain int, stats *SchedStats, cancel *Ca
 				claimed++
 				if stats != nil {
 					t0 := time.Now()
-					fn(lo, hi, tid)
+					fn(base+lo, base+hi, tid)
 					busy += time.Since(t0)
 				} else {
-					fn(lo, hi, tid)
+					fn(base+lo, base+hi, tid)
 				}
 			}
 			if stats != nil {

@@ -8,8 +8,8 @@ import (
 )
 
 // coverOnce drives a scheduling function over n indices and fails the
-// test unless every index was visited exactly once and every reported
-// tid was in range. Run under -race in CI, this is also the data-race
+// test unless every index was visited exactly once, by non-empty
+// blocks, and every reported tid was in range. Run under -race in CI, this is also the data-race
 // check on the claim/steal paths.
 func coverOnce(t *testing.T, n, threads int, run func(fn func(lo, hi, tid int))) {
 	t.Helper()
@@ -18,7 +18,9 @@ func coverOnce(t *testing.T, n, threads int, run func(fn func(lo, hi, tid int)))
 		if tid < 0 || tid >= Threads(threads) {
 			t.Errorf("tid %d out of range [0,%d)", tid, Threads(threads))
 		}
-		if lo > hi || lo < 0 || hi > n {
+		// Kernels index scratch by block, so an empty block must never
+		// reach fn.
+		if lo >= hi || lo < 0 || hi > n {
 			t.Errorf("bad block [%d,%d) for n=%d", lo, hi, n)
 		}
 		for i := lo; i < hi; i++ {
@@ -32,13 +34,21 @@ func coverOnce(t *testing.T, n, threads int, run func(fn func(lo, hi, tid int)))
 	}
 }
 
+// TestForEachChunkedCoversAll is the exactly-once quick-check on the
+// chunked (grain-sized, work-stealing) pass behind ForEachBlockStats,
+// run with telemetry on: every index is visited once and every visit
+// is counted as a claimed block.
 func TestForEachChunkedCoversAll(t *testing.T) {
 	f := func(nRaw uint16, threadsRaw, grainRaw uint8) bool {
 		n := int(nRaw % 3000)
 		threads := int(threadsRaw%8) + 1
 		grain := int(grainRaw%100) + 1
 		hits := make([]int32, n)
-		ForEachChunked(n, threads, grain, nil, nil, func(lo, hi, tid int) {
+		var blocks atomic.Int64
+		var st SchedStats
+		st.Reset(threads)
+		ForEachBlockStats(n, threads, grain, &st, nil, func(lo, hi, tid int) {
+			blocks.Add(1)
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&hits[i], 1)
 			}
@@ -48,79 +58,86 @@ func TestForEachChunkedCoversAll(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		return int64(st.Claimed()) == blocks.Load()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestForEachChunkedAdversarial covers the degenerate shapes: empty,
-// fewer items than workers, a single mega-item, and item counts that do
-// not divide the worker count.
+// TestForEachChunkedAdversarial covers the degenerate shapes on the
+// chunked work-stealing pass: empty, fewer items than workers, n
+// within one grain, a single mega-item, item counts that do not divide
+// the worker count, and slices of an index space run back to back.
 func TestForEachChunkedAdversarial(t *testing.T) {
 	called := false
-	ForEachChunked(0, 4, 16, nil, nil, func(lo, hi, tid int) { called = true })
-	ForEachChunked(-3, 4, 16, nil, nil, func(lo, hi, tid int) { called = true })
+	ForEachBlockStats(0, 4, 16, nil, nil, func(lo, hi, tid int) { called = true })
+	ForEachBlockStats(-3, 4, 16, nil, nil, func(lo, hi, tid int) { called = true })
 	if called {
 		t.Error("fn called for empty range")
 	}
 	for _, tc := range []struct{ n, threads, grain int }{
-		{1, 8, 64},  // single mega-row: exactly one block
-		{3, 8, 1},   // n < threads: some workers start empty and must steal or retire
-		{7, 4, 2},   // uneven split
-		{100, 3, 7}, // non-dividing grain
-		{65, 2, 64}, // one block per worker plus a remainder
+		{1, 8, 64},   // single mega-row: exactly one block
+		{3, 8, 1},    // n < threads: some workers start empty and must steal or retire
+		{64, 4, 64},  // n == grain: the serial path
+		{7, 4, 2},    // uneven split
+		{100, 3, 7},  // non-dividing grain
+		{65, 2, 64},  // one block per worker plus a remainder
+		{5000, 4, 1}, // many tiny blocks: heavy steal traffic
 	} {
 		coverOnce(t, tc.n, tc.threads, func(fn func(lo, hi, tid int)) {
-			ForEachChunked(tc.n, tc.threads, tc.grain, nil, nil, fn)
+			ForEachBlockStats(tc.n, tc.threads, tc.grain, nil, nil, fn)
 		})
 	}
-}
-
-func TestForEachPartitionCoversAll(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		bounds  []int
-		threads int
-	}{
-		{"empty-bounds", []int{}, 4},
-		{"single-empty", []int{0, 0}, 4},
-		{"one-part", []int{0, 10}, 4},
-		{"uniform", []int{0, 5, 10, 15, 20}, 3},
-		{"skewed", []int{0, 1, 2, 50, 51, 100}, 4},
-		{"with-empty-parts", []int{0, 0, 3, 3, 3, 9, 9}, 2},
-		{"more-parts-than-threads", []int{0, 2, 4, 6, 8, 10, 12, 14, 16}, 2},
-		{"fewer-items-than-threads", []int{0, 1, 2, 3}, 8},
+	for _, tc := range []struct{ n, slice int }{
+		{10, 3}, {999, 1000}, {1000, 1000}, {1001, 1000}, {4321, 100},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			n := 0
-			if len(tc.bounds) > 0 {
-				n = tc.bounds[len(tc.bounds)-1]
-			}
-			coverOnce(t, n, tc.threads, func(fn func(lo, hi, tid int)) {
-				ForEachPartition(tc.bounds, tc.threads, nil, nil, fn)
-			})
+		coverOnce(t, tc.n, 4, func(fn func(lo, hi, tid int)) {
+			forEachSliced(tc.n, tc.slice, 4, 8, nil, nil, fn)
 		})
 	}
 }
 
-// TestForEachPartitionSkipsEmpty pins that zero-width partitions never
+// TestForEachPartitionSkipsEmpty pins that zero-width ranges never
 // reach the callback (kernels index scratch by block and must not see
-// lo == hi).
+// lo == hi). With fewer items than workers the even seed split hands
+// some workers an empty initial range; those, and the steals that
+// follow, must not surface as empty blocks.
 func TestForEachPartitionSkipsEmpty(t *testing.T) {
-	for _, threads := range []int{1, 4} {
-		ForEachPartition([]int{0, 0, 0, 5, 5}, threads, nil, nil, func(lo, hi, tid int) {
-			if lo >= hi {
-				t.Errorf("empty partition [%d,%d) reached fn", lo, hi)
-			}
-		})
+	for _, threads := range []int{1, 4, 8} {
+		for _, n := range []int{1, 2, 3, 5, 7} {
+			ForEachBlockStats(n, threads, 1, nil, nil, func(lo, hi, tid int) {
+				if lo >= hi {
+					t.Errorf("empty range [%d,%d) reached fn (n=%d threads=%d)", lo, hi, n, threads)
+				}
+			})
+			forEachSliced(n, 2, threads, 1, nil, nil, func(lo, hi, tid int) {
+				if lo >= hi {
+					t.Errorf("empty sliced range [%d,%d) reached fn (n=%d threads=%d)", lo, hi, n, threads)
+				}
+			})
+		}
+	}
+}
+
+// TestForEachBlockSerialAllocFree pins the serial fast path: one worker
+// runs inline with no coordination state, so a pass allocates nothing.
+func TestForEachBlockSerialAllocFree(t *testing.T) {
+	var st SchedStats
+	st.Reset(1)
+	sum := 0
+	fn := func(lo, hi, tid int) { sum += hi - lo }
+	if got := testing.AllocsPerRun(20, func() { ForEachBlockStats(1000, 1, 16, &st, nil, fn) }); got != 0 {
+		t.Errorf("serial pass allocates %v objects, want 0", got)
+	}
+	if sum == 0 {
+		t.Fatal("serial pass ran nothing")
 	}
 }
 
 // TestSchedStatsAccounting checks the telemetry invariants: claimed
-// blocks add up to the work handed out, steals only appear on the
-// chunked scheduler, and busy time is recorded.
+// blocks add up to the work handed out, the serial path never steals,
+// busy time is recorded, and stats accumulate across passes.
 func TestSchedStatsAccounting(t *testing.T) {
 	work := func(lo, hi, tid int) {
 		// Enough work for Busy to register on coarse clocks.
@@ -134,51 +151,48 @@ func TestSchedStatsAccounting(t *testing.T) {
 	}
 
 	var st SchedStats
-	st.Reset(4)
-	ForEachBlockStats(256, 4, 16, &st, nil, work)
+	st.Reset(1)
+	ForEachBlockStats(256, 1, 16, &st, nil, work)
 	if got, want := st.Claimed(), 16; got != want {
-		t.Errorf("block: claimed = %d, want %d", got, want)
+		t.Errorf("serial: claimed = %d, want %d", got, want)
 	}
 	if st.Stolen() != 0 {
-		t.Errorf("block: stolen = %d, want 0", st.Stolen())
+		t.Errorf("serial: stolen = %d, want 0", st.Stolen())
 	}
 	if st.Busy() <= 0 {
-		t.Error("block: no busy time recorded")
+		t.Error("serial: no busy time recorded")
 	}
 
-	st.Reset(4)
-	ForEachPartition([]int{0, 64, 128, 192, 256}, 4, &st, nil, work)
-	if got, want := st.Claimed(), 4; got != want {
-		t.Errorf("partition: claimed = %d, want %d", got, want)
-	}
-
-	// Chunked blocks can exceed n/grain: the even initial split and
+	// Parallel blocks can exceed n/grain: the even initial split and
 	// half-range steals cut ranges at non-grain boundaries.
 	st.Reset(2)
-	ForEachChunked(256, 2, 16, &st, nil, work)
+	ForEachBlockStats(256, 2, 16, &st, nil, work)
 	if got := st.Claimed(); got < 16 || got > 16+8 {
-		t.Errorf("chunked: claimed = %d, want ~16", got)
+		t.Errorf("parallel: claimed = %d, want ~16", got)
+	}
+	if st.Busy() <= 0 {
+		t.Error("parallel: no busy time recorded")
 	}
 
 	// Accumulation across passes without Reset (a two-phase execution).
 	before := st.Claimed()
-	ForEachChunked(256, 2, 16, &st, nil, work)
+	ForEachBlockStats(256, 2, 16, &st, nil, work)
 	if st.Claimed() < before+16 {
 		t.Errorf("stats did not accumulate: %d after second pass, want ≥ %d", st.Claimed(), before+16)
 	}
 }
 
-// TestForEachChunkedStealsUnderSkew plants all the cost in the lowest
-// indices (one worker's initial deque) — the mechanism the fallback
-// scheduler exists for. Steal timing depends on the host's real
+// TestForEachBlockStealsUnderSkew plants all the cost in the lowest
+// indices (one worker's initial range) — the skew stealing exists
+// for. Steal timing depends on the host's real
 // parallelism, so coverage is asserted strictly while the steal count
 // is only reported.
-func TestForEachChunkedStealsUnderSkew(t *testing.T) {
+func TestForEachBlockStealsUnderSkew(t *testing.T) {
 	const n = 1 << 10
 	var st SchedStats
 	st.Reset(4)
 	var total atomic.Int64
-	ForEachChunked(n, 4, 8, &st, nil, func(lo, hi, tid int) {
+	ForEachBlockStats(n, 4, 8, &st, nil, func(lo, hi, tid int) {
 		for i := lo; i < hi; i++ {
 			cost := 1
 			if i < n/4 {

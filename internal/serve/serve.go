@@ -548,8 +548,6 @@ type planDriftJSON struct {
 	Scheme string `json:"scheme"`
 	// Rows is the plan's mask row count.
 	Rows int `json:"rows"`
-	// Schedule is the plan's current resolved schedule.
-	Schedule string `json:"schedule"`
 	// EwmaImbalance is the plan's measured-imbalance EWMA.
 	EwmaImbalance float64 `json:"ewma_imbalance"`
 	// EwmaWallNanos is the plan's measured wall-time EWMA.
@@ -573,7 +571,6 @@ func calibrationStatsWire(st maskedspgemm.CalibrationStats) calibrationStatsJSON
 		out.Drift = append(out.Drift, planDriftJSON{
 			Scheme:        d.Scheme,
 			Rows:          d.Rows,
-			Schedule:      d.Schedule,
 			EwmaImbalance: d.EwmaImbalance,
 			EwmaWallNanos: d.EwmaWallNanos,
 			Samples:       d.Samples,

@@ -226,7 +226,7 @@ func TestServeWarmThenMultiplyHits(t *testing.T) {
 	st := getStats(t, h)
 	c := st.Session.Cache
 	if c.Hits != 1 || c.Misses != 2 || c.Entries != 2 {
-		// threads=2 is plan-affecting (partition layout), so the warmed
+		// threads=2 is plan-affecting (worker count), so the warmed
 		// threads-default plan and the threads=2 request are distinct
 		// entries; re-issue with matching plan options to pin the
 		// normalization claim precisely below.

@@ -132,32 +132,6 @@ func WithThreads(threads int) Option {
 	return func(o *core.Options) { o.Threads = threads }
 }
 
-// Schedule selects how parallel row passes divide work among workers;
-// see the Schedule* constants.
-type Schedule = core.Schedule
-
-const (
-	// ScheduleAuto (the default) picks the strategy per plan from the
-	// measured row-cost skew: cost partitions when a few rows dominate,
-	// fixed-grain blocks otherwise.
-	ScheduleAuto = core.SchedAuto
-	// ScheduleFixedGrain claims fixed-size row blocks from a shared
-	// counter — dynamic, but blind to row cost.
-	ScheduleFixedGrain = core.SchedFixedGrain
-	// ScheduleCostPartition drives workers over equal-cost row
-	// partitions laid out at plan time from the flops profile.
-	ScheduleCostPartition = core.SchedCostPartition
-	// ScheduleWorkSteal uses per-worker deques with range stealing —
-	// absorbs skew without a cost profile.
-	ScheduleWorkSteal = core.SchedWorkSteal
-)
-
-// WithSchedule picks the row-scheduling strategy (default
-// ScheduleAuto).
-func WithSchedule(s Schedule) Option {
-	return func(o *core.Options) { o.Schedule = s }
-}
-
 // SchedStats is per-execution scheduler telemetry: one entry per
 // worker with busy time and blocks claimed/stolen, plus aggregate
 // accessors (Busy, Claimed, Stolen, Imbalance).

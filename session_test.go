@@ -232,31 +232,6 @@ func TestSessionSchedStats(t *testing.T) {
 	}
 }
 
-// TestSessionScheduleOption pins that WithSchedule flows through the
-// session's cache key: different schedules are distinct plans but all
-// compute the same result.
-func TestSessionScheduleOption(t *testing.T) {
-	s := NewSession()
-	g := ErdosRenyi(200, 8, 10)
-	mask := g.PatternView()
-	want, err := s.Multiply(mask, g, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []Schedule{ScheduleFixedGrain, ScheduleCostPartition, ScheduleWorkSteal} {
-		got, err := s.Multiply(mask, g, g, WithSchedule(mode), WithThreads(2))
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		if !sparse.Equal(want, got) {
-			t.Fatalf("%v: result differs", mode)
-		}
-	}
-	if st := s.Stats().Cache; st.Entries < 4 {
-		t.Errorf("schedules should be distinct cache entries, got %d", st.Entries)
-	}
-}
-
 // TestSessionWarmThenSchedStatsHits is the headline serving regression
 // for plan-key normalization: warming without telemetry and then
 // multiplying with WithSchedStats must hit the warmed plan — and still
