@@ -115,7 +115,7 @@ func (e *Executor[T, S]) prepareCSC(p *Plan[T, S], b *sparse.CSR[T]) {
 
 // kernelsFor returns p's row kernels bound to (a, b) on this executor,
 // reusing the previous binding when plan and operands are unchanged.
-// Rebinding is cheap (two closures); the cache only exists so
+// Binding again is cheap (two closures); the cache only exists so
 // steady-state repeated executions allocate nothing.
 func (e *Executor[T, S]) kernelsFor(p *Plan[T, S], a, b *sparse.CSR[T]) kernels[T] {
 	if e.haveBound && e.lastPlan == p && e.lastA == a && e.lastB == b {

@@ -144,13 +144,6 @@ type Options struct {
 	// regardless, and if nothing admissible remains the selector falls
 	// back to MSA, the universal family.
 	HybridFamilies FamilySet
-	// CostCoeffs scales the per-family RowCost models by measured
-	// per-host coefficients (internal/calibrate's startup fit); the
-	// zero value prices with the DESIGN.md §10 literals, bit for bit.
-	// Plan-affecting: coefficients move the Hybrid per-row crossovers,
-	// so they are part of plan identity — a calibrated session's plans
-	// never alias an uncalibrated client's.
-	CostCoeffs CostCoeffs
 	// InnerGallop switches AlgoInner's dot products from two-pointer
 	// merges to galloping (exponential + binary search) — profitable
 	// when A rows and B columns have very different lengths. Ablation:
@@ -216,17 +209,6 @@ func (o *Options) normalize() {
 	if o.Grain < 1 {
 		o.Grain = parallel.DefaultGrain
 	}
-}
-
-// coeffs returns the calibrated coefficient array for RowCostContext
-// threading, or nil when uncalibrated — the nil fast path keeps the
-// uncalibrated cost evaluation identical to pre-calibration builds.
-func (o Options) coeffs() *CostCoeffs {
-	if o.CostCoeffs.IsZero() {
-		return nil
-	}
-	c := o.CostCoeffs
-	return &c
 }
 
 // validate checks operand shapes: mask is m×n, A is m×k, B is k×n.

@@ -66,10 +66,6 @@ type Plan[T any, S semiring.Semiring[T]] struct {
 	runEnds  []int32
 	runFam   []uint8
 	polyFams FamilySet
-	// profile is the retained Hybrid selector input the replanner
-	// re-binds from (DESIGN.md §14); nil except on Hybrid plans with
-	// more than one worker, the only plans a re-bind can rebalance.
-	profile *costProfile
 	// heapNInspect is the resolved NInspect for the heap schemes.
 	heapNInspect int
 	// maxMaskRow / maxARow size the hash/MCA and heap accumulators.
@@ -142,7 +138,7 @@ func newDetachedPlan[T any, S semiring.Semiring[T]](sr S, mask *sparse.Pattern, 
 			p.maxARow = a.MaxRowNNZ()
 			p.heapNInspect = resolveHeapNInspect(opt)
 		case AlgoHybrid:
-			p.planHybrid(a, b, opt.Threads > 1)
+			p.planHybrid(a, b)
 			// Sizing hints only for the families some run actually
 			// bound — unused families must stay costless. Only the
 			// plain-mask Hash/MCA binders read maxMaskRow (the
@@ -223,9 +219,6 @@ func (p *Plan[T, S]) footprintBytes() int64 {
 	}
 	bytes += int64(len(p.btPtr))*8 + int64(len(p.btIdx))*4 + int64(len(p.btPerm))*8
 	bytes += int64(len(p.runEnds))*4 + int64(len(p.runFam))
-	if p.profile != nil {
-		bytes += int64(len(p.profile.rowFlops))*8 + int64(len(p.profile.rowANNZ))*4
-	}
 	return bytes
 }
 

@@ -255,54 +255,66 @@ func TestPlanCacheHitAllocs(t *testing.T) {
 
 // TestPlanCacheSharedPlanConcurrent executes ONE shared cached plan
 // from many goroutines, each with its own pooled executor, and checks
-// every result. Inner is used deliberately: it exercises the
-// executor-owned CSC value refresh, the piece of per-execution state
-// that used to live (mutably) on the plan. Run under -race this is the
-// plan-immutability proof.
+// every result. Inner exercises the executor-owned CSC value refresh,
+// the piece of per-execution state that used to live (mutably) on the
+// plan; Hybrid at four threads exercises a shared run encoding under
+// the multi-worker scheduler with telemetry on. Run under -race this
+// is the plan-immutability proof.
 func TestPlanCacheSharedPlanConcurrent(t *testing.T) {
 	mask, a, b := buildCase(caseSpec{"", 96, 96, 96, 8, 8, 10, 41})
 	want := oracle(mask, a, b, false)
-	cache := NewPlanCache(ptSR, 0, 0)
-	pool := NewExecutorPool(ptSR, 4)
-	const goroutines = 8
-	const rounds = 20
-	var wg sync.WaitGroup
-	errs := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				plan, err := cache.GetOrPlan(mask, a, b, Options{Algorithm: AlgoInner})
-				if err != nil {
-					errs <- err
-					return
-				}
-				exec := pool.Get()
-				got, err := plan.ExecuteOn(exec, a, b)
-				pool.Put(exec)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if d := sparse.Diff(want, got, floatEq); d != "" {
-					errs <- fmt.Errorf("concurrent result differs: %s", d)
-					return
-				}
+	for _, tc := range []struct {
+		name string
+		opt  Options
+		eo   ExecOptions
+	}{
+		{"inner", Options{Algorithm: AlgoInner}, ExecOptions{}},
+		{"hybrid-t4", Options{Algorithm: AlgoHybrid, Threads: 4}, ExecOptions{CollectSchedStats: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cache := NewPlanCache(ptSR, 0, 0)
+			pool := NewExecutorPool(ptSR, 4)
+			const goroutines = 8
+			const rounds = 20
+			var wg sync.WaitGroup
+			errs := make(chan error, goroutines)
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for r := 0; r < rounds; r++ {
+						plan, err := cache.GetOrPlan(mask, a, b, tc.opt)
+						if err != nil {
+							errs <- err
+							return
+						}
+						exec := pool.Get()
+						got, err := plan.ExecuteOnOpts(exec, a, b, tc.eo)
+						pool.Put(exec)
+						if err != nil {
+							errs <- err
+							return
+						}
+						if d := sparse.Diff(want, got, floatEq); d != "" {
+							errs <- fmt.Errorf("concurrent result differs: %s", d)
+							return
+						}
+					}
+				}()
 			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	st := cache.Stats()
-	if st.Hits+st.Misses != goroutines*rounds {
-		t.Fatalf("lookup count %d, want %d", st.Hits+st.Misses, goroutines*rounds)
-	}
-	if st.Entries != 1 {
-		t.Fatalf("entries = %d, want 1 shared plan", st.Entries)
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			st := cache.Stats()
+			if st.Hits+st.Misses != goroutines*rounds {
+				t.Fatalf("lookup count %d, want %d", st.Hits+st.Misses, goroutines*rounds)
+			}
+			if st.Entries != 1 {
+				t.Fatalf("entries = %d, want 1 shared plan", st.Entries)
+			}
+		})
 	}
 }
 

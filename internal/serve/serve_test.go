@@ -284,50 +284,6 @@ func TestServeStatsHybridFamilyRows(t *testing.T) {
 	}
 }
 
-// TestServeStatsCalibrationBlock pins the /stats calibration block
-// shape (DESIGN.md §14): a default server reports an inert "off"
-// block; a server booted with online calibration reports the mode,
-// the fitted coefficients (MSA anchored at 1.0), and the fit timing.
-func TestServeStatsCalibrationBlock(t *testing.T) {
-	h := servetest.Start(t, New(Config{}))
-	cal := getStats(t, h).Session.Calibration
-	if cal.Mode != "off" || cal.FitNanos != 0 || cal.Replans != 0 || cal.Coefficients != nil || cal.Drift != nil {
-		t.Fatalf("default server calibration block = %+v, want inert off", cal)
-	}
-
-	hc := servetest.Start(t, New(Config{
-		SessionOptions: []maskedspgemm.SessionOption{
-			maskedspgemm.WithCalibration(maskedspgemm.CalibrationConfig{
-				Mode:        maskedspgemm.CalibrateOnline,
-				MaxDuration: 5 * time.Second,
-			}),
-		},
-	}))
-	g := maskedspgemm.ErdosRenyi(80, 6, 46)
-	body := servetest.EncodeSerial(t, g)
-	if resp := hc.Post("/v1/multiply", body, nil); resp.Status != http.StatusOK {
-		t.Fatalf("multiply: status %d: %s", resp.Status, resp.Body)
-	}
-	cal = getStats(t, hc).Session.Calibration
-	if cal.Mode != "online" {
-		t.Fatalf("mode = %q, want online", cal.Mode)
-	}
-	if cal.FitNanos <= 0 {
-		t.Errorf("fit_nanos = %d, want > 0 (the startup fit ran)", cal.FitNanos)
-	}
-	if len(cal.Coefficients) > 0 {
-		if msa := cal.Coefficients["MSA"]; msa != 1.0 {
-			t.Errorf("MSA coefficient = %v, want the 1.0 anchor", msa)
-		}
-	}
-	// Drift records surface for observed plans: the multiply above ran
-	// under online feedback, so the (serial, hence never re-bound) plan
-	// still reports its samples.
-	if len(cal.Drift) == 0 {
-		t.Error("online server reports no drift records after traffic")
-	}
-}
-
 // TestServeSaturation is the admission-control acceptance test: with
 // pool size P and 8·P concurrent clients, at most P products execute
 // concurrently, excess queues up to the bound, everything beyond is

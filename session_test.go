@@ -51,27 +51,35 @@ func TestSessionMatchesMultiply(t *testing.T) {
 // TestSessionConcurrent hammers one session from many goroutines with
 // a mix of recurring structures and algorithms, verifying every
 // result. This is the serving-layer race test: shared immutable plans,
-// concurrent cache lookups, pooled executors. Run under -race in CI.
+// concurrent cache lookups, pooled executors, and by-reference requests
+// resolving stored operands into one shared four-thread Hybrid plan.
+// Run under -race in CI.
 func TestSessionConcurrent(t *testing.T) {
 	graphs := sessionGraphs()
 	algos := []Algorithm{MSA, Hash, Inner, Hybrid}
 	type query struct {
 		g    *Matrix
-		algo Algorithm
-	}
-	var queries []query
-	wants := make([]*Matrix, 0, len(graphs)*len(algos))
-	for _, g := range graphs {
-		for _, algo := range algos {
-			want, err := Multiply(g.PatternView(), g, g, WithAlgorithm(algo))
-			if err != nil {
-				t.Fatal(err)
-			}
-			queries = append(queries, query{g, algo})
-			wants = append(wants, want)
-		}
+		ref  OperandRef // zero: operands passed inline
+		opts []Option
 	}
 	s := NewSession(WithMaxIdleExecutors(4))
+	var queries []query
+	var wants []*Matrix
+	add := func(q query) {
+		want, err := Multiply(q.g.PatternView(), q.g, q.g, q.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries = append(queries, q)
+		wants = append(wants, want)
+	}
+	for _, g := range graphs {
+		for _, algo := range algos {
+			add(query{g: g, opts: []Option{WithAlgorithm(algo)}})
+		}
+		ref, _ := s.PutOperand(g)
+		add(query{g: g, ref: ref, opts: []Option{WithAlgorithm(Hybrid), WithThreads(4)}})
+	}
 	const goroutines = 8
 	const rounds = 12
 	eq := func(x, y float64) bool { return x == y }
@@ -84,7 +92,13 @@ func TestSessionConcurrent(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				qi := (worker + r*3) % len(queries)
 				q := queries[qi]
-				got, err := s.Multiply(q.g.PatternView(), q.g, q.g, WithAlgorithm(q.algo))
+				var got *Matrix
+				var err error
+				if q.ref != (OperandRef{}) {
+					got, err = s.MultiplyRefs(q.ref.Pattern, q.ref, q.ref, q.opts...)
+				} else {
+					got, err = s.Multiply(q.g.PatternView(), q.g, q.g, q.opts...)
+				}
 				if err != nil {
 					errs <- err
 					return
@@ -112,6 +126,56 @@ func TestSessionConcurrent(t *testing.T) {
 
 // TestSessionWarm checks pre-planning populates the cache so the first
 // real request hits.
+// TestSessionOnlineRefsAtomicity hammers MultiplyRefs from many
+// goroutines that all share one hot cached Hybrid Threads=4 plan: every
+// request must see the exact product, and the plan is built exactly
+// once (later missers of the first burst wait on the planner). Run
+// under -race in CI.
+func TestSessionOnlineRefsAtomicity(t *testing.T) {
+	s := NewSession()
+	g := ErdosRenyi(512, 8, 11)
+	ref, _ := s.PutOperand(g)
+	want, err := Multiply(g.PatternView(), g, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eq := func(x, y float64) bool { return x == y }
+
+	const workers = 4
+	const iters = 25
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				got, err := s.MultiplyRefs(ref.Pattern, ref, ref, WithAlgorithm(Hybrid), WithThreads(4))
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !sparse.EqualFunc(want, got, eq) {
+					errs <- fmt.Errorf("iteration %d: wrong product from the shared plan", i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	st := s.Stats().Cache
+	if total := st.Hits + st.Misses; total != workers*iters {
+		t.Errorf("cache saw %d lookups, want %d", total, workers*iters)
+	}
+	if built := st.Misses - st.CoalescedMisses; built != 1 {
+		t.Errorf("plan built %d times, want 1 (one structure, one key)", built)
+	}
+}
+
 func TestSessionWarm(t *testing.T) {
 	g := ErdosRenyi(64, 6, 9)
 	s := NewSession()
